@@ -18,7 +18,7 @@ main()
     using namespace nord::bench;
 
     PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runParsecSuite(pm);
 
     std::printf("=== Figure 9(a): PG overhead energy (norm. to Conv_PG) "
                 "===\n");

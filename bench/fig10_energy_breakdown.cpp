@@ -21,7 +21,7 @@ main()
     using namespace nord::bench;
 
     PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runParsecSuite(pm);
 
     std::printf("=== Figure 10: NoC energy breakdown "
                 "(%% of No_PG total) ===\n");

@@ -1,41 +1,35 @@
 #!/usr/bin/env bash
-# Chaos smoke test: the fault-tolerance acceptance gate.
+# Chaos smoke test: the fault-tolerance acceptance gate for nord-campaign.
 #
-# Phase A -- single-process kill-and-resume (the original smoke):
-#   1. Runs the quick resilience_sweep campaign uninterrupted to produce
-#      a reference JSON.
-#   2. Starts the same campaign with periodic checkpointing, SIGKILLs it
-#      mid-flight, then resumes from the last checkpoint.
-#   3. Requires the resumed run's final JSON to be byte-identical.
-#
-# Phase B -- the campaign orchestrator under fire:
+# Phase B -- one executor under fire:
 #   1. Clean reference campaign (includes a deterministic poison point
 #      and a hang point, so quarantine paths are exercised).
 #   2. The same grid under --chaos: workers are SIGKILLed on a seeded
 #      schedule and must resume from checkpoints. Report must be
 #      byte-identical to the clean run's.
-#   3. The same grid with the ORCHESTRATOR itself SIGKILLed mid-campaign
-#      and re-executed. Report must again be byte-identical.
+#   3. The same grid with the executor itself SIGKILLed mid-campaign and
+#      re-executed. The rerun reopens its own journal (the default
+#      executor id is the hostname), waits one lease grace before it
+#      retakes its own stale shards, and at least one worker must resume
+#      mid-point from its checkpoint. Report must again be
+#      byte-identical.
 #   4. The journal must show both quarantine classes (gate, hang) with
-#      diagnostics.
+#      diagnostics, and no single-executor run may ever self-fence.
 #
-# Phase C -- multi-executor fleet under partition chaos (--executors 2):
-#   1. Clean reference campaign (classic single orchestrator).
-#   2. Two executors --join the same campaign directory. One SIGSTOPs
-#      itself for longer than the lease grace (partition chaos), loses
-#      its shard leases, and must self-fence: exit 14 (lease-lost), no
+# Phase C -- two executors under partition chaos (--executors 2):
+#   1. Clean reference campaign (one executor).
+#   2. Two executors share one --out directory. One SIGSTOPs itself
+#      for longer than the lease grace (partition chaos), loses its
+#      shard leases, and must self-fence: exit 14 (lease-lost), no
 #      post-fence writes. The survivor steals the shards and drains the
 #      grid.
-#   3. The fleet's report must be byte-identical to the classic run's.
+#   3. The fleet's report must be byte-identical to the reference's.
 #
-# Usage: scripts/chaos_smoke.sh [resilience_sweep] [nord-campaign]
-#                               [--executors N]
+# Usage: scripts/chaos_smoke.sh [nord-campaign] [--executors N]
 set -u
 
-SWEEP="build/bench/resilience_sweep"
 CAMPAIGN="build/tools/nord-campaign"
 EXECUTORS=1
-POS=0
 while [ $# -gt 0 ]; do
     case "$1" in
       --executors)
@@ -44,8 +38,7 @@ while [ $# -gt 0 ]; do
         shift 2
         ;;
       *)
-        POS=$((POS + 1))
-        if [ "$POS" -eq 1 ]; then SWEEP="$1"; else CAMPAIGN="$1"; fi
+        CAMPAIGN="$1"
         shift
         ;;
     esac
@@ -65,53 +58,10 @@ fail() {
     exit 1
 }
 
-[ -x "$SWEEP" ] || fail "$SWEEP not found or not executable"
 [ -x "$CAMPAIGN" ] || fail "$CAMPAIGN not found or not executable"
 
 # ----------------------------------------------------------------------
-# Phase A: resilience_sweep kill-and-resume.
-# ----------------------------------------------------------------------
-
-REF="$WORK/ref.json"
-OUT="$WORK/resumed.json"
-CKPT="$WORK/sweep.ckpt"
-
-echo "[smoke A] reference run (uninterrupted)..."
-NORD_QUICK=1 "$SWEEP" --out="$REF" 2>/dev/null \
-    || fail "reference campaign did not exit cleanly"
-
-echo "[smoke A] checkpointed run, to be killed mid-campaign..."
-NORD_QUICK=1 "$SWEEP" --checkpoint="$CKPT" --checkpoint-every=300 \
-    --out="$OUT" 2>/dev/null &
-PID=$!
-
-# Wait until at least one checkpoint lands, then give the campaign a
-# moment to advance past it so the resume genuinely re-enters mid-run.
-for _ in $(seq 1 300); do
-    [ -f "$CKPT" ] && break
-    sleep 0.1
-done
-if [ ! -f "$CKPT" ]; then
-    kill -9 "$PID" 2>/dev/null
-    fail "no checkpoint appeared within 30s"
-fi
-sleep 1
-kill -9 "$PID" 2>/dev/null
-wait "$PID" 2>/dev/null
-
-[ -f "$OUT" ] && fail "campaign finished before the kill; nothing to resume"
-
-echo "[smoke A] resuming from $CKPT..."
-NORD_QUICK=1 "$SWEEP" --resume-from="$CKPT" --checkpoint="$CKPT" \
-    --checkpoint-every=300 --out="$OUT" \
-    || fail "resumed campaign did not exit cleanly"
-
-diff -u "$REF" "$OUT" \
-    || fail "resumed output differs from uninterrupted reference"
-echo "[smoke A] PASS: resumed campaign output is byte-identical"
-
-# ----------------------------------------------------------------------
-# Phase B: nord-campaign orchestrator.
+# Phase B: one executor.
 # ----------------------------------------------------------------------
 
 # Point 0 is honest work, point 1 is deterministic poison (gate), point 2
@@ -130,8 +80,11 @@ run_campaign() {
 }
 
 echo "[smoke B] clean reference campaign..."
-run_campaign "$WORK/clean"
-[ $? -eq $QUARANTINE_RC ] || fail "clean campaign: expected exit $QUARANTINE_RC"
+run_campaign "$WORK/clean" > "$WORK/clean.log" 2>&1
+[ $? -eq $QUARANTINE_RC ] || {
+    cat "$WORK/clean.log" >&2
+    fail "clean campaign: expected exit $QUARANTINE_RC"
+}
 [ -f "$WORK/clean/report.json" ] || fail "clean campaign wrote no report"
 
 echo "[smoke B] chaos campaign (worker SIGKILLs on a seeded schedule)..."
@@ -153,13 +106,13 @@ diff -u "$WORK/clean/report.csv" "$WORK/chaos/report.csv" \
     || fail "chaos kills changed report.csv"
 echo "[smoke B] PASS: chaos-disturbed report is byte-identical"
 
-echo "[smoke B] orchestrator SIGKILL + resume..."
-run_campaign "$WORK/kr" &
+echo "[smoke B] executor SIGKILL + resume..."
+run_campaign "$WORK/kr" > "$WORK/kr-killed.log" 2>&1 &
 PID=$!
-# Let it journal some progress first (the journal appears immediately;
+# Let it make some progress first (the manifest appears immediately;
 # give the workers time to start and checkpoint).
 for _ in $(seq 1 100); do
-    [ -f "$WORK/kr/journal.jsonl" ] && break
+    [ -f "$WORK/kr/campaign.json" ] && break
     sleep 0.1
 done
 sleep 2
@@ -170,13 +123,22 @@ pkill -9 -x nord-campaign 2>/dev/null
 sleep 0.2
 [ -f "$WORK/kr/report.json" ] && fail "campaign finished before the kill"
 
-run_campaign "$WORK/kr"
-[ $? -eq $QUARANTINE_RC ] || fail "resumed campaign: bad exit"
+# The rerun reopens the killed executor's journal. Its shard leases
+# still name that executor, so it waits one lease grace (2s) before it
+# retakes them: the fencing rule working, not a hang.
+run_campaign "$WORK/kr" > "$WORK/kr.log" 2>&1
+[ $? -eq $QUARANTINE_RC ] || {
+    cat "$WORK/kr.log" >&2
+    fail "resumed campaign: bad exit"
+}
 diff -u "$WORK/clean/report.json" "$WORK/kr/report.json" \
-    || fail "orchestrator kill+resume changed report.json"
+    || fail "executor kill+resume changed report.json"
 diff -u "$WORK/clean/report.csv" "$WORK/kr/report.csv" \
-    || fail "orchestrator kill+resume changed report.csv"
-echo "[smoke B] PASS: kill+resume report is byte-identical"
+    || fail "executor kill+resume changed report.csv"
+cat "$WORK"/kr/*/point-*.stderr 2>/dev/null | grep -q "resumed from" \
+    || fail "no worker resumed mid-point from its checkpoint"
+echo "[smoke B] PASS: kill+resume report is byte-identical, workers" \
+     "resumed mid-point"
 
 echo "[smoke B] quarantine diagnostics..."
 grep -q '"event":"quarantine".*"class":"gate"' "$WORK/clean/journal.jsonl" \
@@ -185,33 +147,42 @@ grep -q '"event":"quarantine".*"class":"hang"' "$WORK/clean/journal.jsonl" \
     || fail "no hang quarantine in the journal"
 grep -q '"status":"quarantined"' "$WORK/clean/report.json" \
     || fail "report carries no quarantined points"
+if grep -l "self-fenced" "$WORK"/clean.log "$WORK"/chaos.log \
+        "$WORK"/kr-killed.log "$WORK"/kr.log; then
+    fail "a single-executor run self-fenced"
+fi
 
 # ----------------------------------------------------------------------
-# Phase C: multi-executor fleet with partition chaos.
+# Phase C: two executors with partition chaos.
 # ----------------------------------------------------------------------
 
 if [ "$EXECUTORS" -ge 2 ]; then
-    # A clean grid (no poison/hang): completion-only, so the classic
-    # golden and the surviving executor both exit 0 and every byte of
-    # report divergence is a fleet bug, not taxonomy noise.
+    # A clean grid (no poison/hang): completion-only, so the reference
+    # and the surviving executor both exit 0 and every byte of report
+    # divergence is a fleet bug, not taxonomy noise.
     CGRID="--designs nord --rates 0.05 --seeds 1,2,3,4,5,6
            --cycles 150000 --rows 4 --cols 4"
     CSUP="--workers 2 --checkpoint-every 2000 --max-failures 2
           --backoff-initial 0.05 --backoff-max 0.2"
 
-    echo "[smoke C] classic golden run..."
+    echo "[smoke C] reference run (one executor)..."
     # shellcheck disable=SC2086
     "$CAMPAIGN" $CGRID $CSUP --out "$WORK/fleet-gold" \
-        || fail "golden classic campaign failed"
+        > "$WORK/gold.log" 2>&1 || {
+        cat "$WORK/gold.log" >&2
+        fail "reference campaign failed"
+    }
+    grep -q "self-fenced" "$WORK/gold.log" \
+        && fail "the single-executor reference run self-fenced"
 
-    echo "[smoke C] two executors join; one self-partitions past the" \
-         "lease grace..."
+    echo "[smoke C] two executors share one directory; one" \
+         "self-partitions past the lease grace..."
     FLEET="$WORK/fleet"
     # Executor 1: partition chaos only (the huge --chaos-interval keeps
     # worker kills out of the picture). It SIGSTOPs itself for 4s with a
     # 1s lease grace, so on resume it MUST self-fence and exit 14.
     # shellcheck disable=SC2086
-    "$CAMPAIGN" $CGRID $CSUP --join "$FLEET" --executor-id exec-1 \
+    "$CAMPAIGN" $CGRID $CSUP --out "$FLEET" --executor-id exec-1 \
         --lease-grace 1 \
         --chaos --chaos-seed 5 --chaos-interval 10000 \
         --chaos-partition-mean 0.6 --chaos-partition-duration 4 \
@@ -221,7 +192,7 @@ if [ "$EXECUTORS" -ge 2 ]; then
     # Executor 2: an honest survivor. It steals the partitioned
     # executor's shards after the grace and drains the grid.
     # shellcheck disable=SC2086
-    "$CAMPAIGN" $CGRID $CSUP --join "$FLEET" --executor-id exec-2 \
+    "$CAMPAIGN" $CGRID $CSUP --out "$FLEET" --executor-id exec-2 \
         --lease-grace 1 \
         > "$WORK/exec2.log" 2>&1
     RC2=$?
@@ -241,16 +212,16 @@ if [ "$EXECUTORS" -ge 2 ]; then
         || fail "partitioned executor never reported the lost lease"
 
     diff -u "$WORK/fleet-gold/report.json" "$FLEET/report.json" \
-        || fail "fleet report.json differs from the classic golden run"
+        || fail "fleet report.json differs from the reference run"
     diff -u "$WORK/fleet-gold/report.csv" "$FLEET/report.csv" \
-        || fail "fleet report.csv differs from the classic golden run"
+        || fail "fleet report.csv differs from the reference run"
     # The canonical journal must carry no trace of the fenced executor's
-    # abandoned work: replay it as a classic journal and count points.
+    # abandoned work: count its terminal events.
     DONE_COUNT=$(grep -c '"event":"done"' "$FLEET/journal.jsonl")
     [ "$DONE_COUNT" -eq 6 ] \
         || fail "canonical journal has $DONE_COUNT done events, want 6"
     echo "[smoke C] PASS: self-fence at exit 14, fleet report" \
-         "byte-identical to the classic golden"
+         "byte-identical to the reference"
 fi
 
 echo "[smoke] PASS: all phases"

@@ -1,7 +1,7 @@
 /**
  * @file
- * Multi-executor campaign engine implementation (see executor.hh for
- * the join protocol and merge.hh / lease.hh for the invariants).
+ * Campaign engine implementation (see executor.hh for the supervision
+ * rules and the join protocol, merge.hh / lease.hh for the invariants).
  */
 
 #include "campaign/executor.hh"
@@ -34,6 +34,170 @@
 
 namespace nord {
 namespace campaign {
+
+namespace {
+
+// Drain latch set from the CLI's SIGINT/SIGTERM handlers; a
+// sig_atomic_t is the only type that is safe to touch there.
+// nord-lint-allow(mutable-static)
+volatile std::sig_atomic_t g_drainRequested = 0;
+
+}  // namespace
+
+void
+requestCampaignDrain()
+{
+    g_drainRequested = 1;
+}
+
+void
+clearCampaignDrain()
+{
+    g_drainRequested = 0;
+}
+
+// --- Report rendering ---------------------------------------------------
+
+std::string
+renderReportJson(const std::vector<PointSpec> &specs,
+                 const ReplayState &state)
+{
+    std::uint64_t completed = 0;
+    std::uint64_t quarantined = 0;
+    std::uint64_t missing = 0;
+    std::string entries;
+    for (const PointSpec &spec : specs) {
+        const auto it = state.perPoint.find(spec.id);
+        const ReplayPoint *p =
+            it != state.perPoint.end() ? &it->second : nullptr;
+        if (!entries.empty())
+            entries += ",\n";
+        entries += "{\"spec\":" + specJson(spec);
+        if (p && p->done) {
+            ++completed;
+            entries += ",\"status\":\"completed\",\"result\":" +
+                       p->resultLine + "}";
+        } else if (p && p->quarantined) {
+            ++quarantined;
+            // Class / exit / signal are deterministic properties of the
+            // point; the stderr tail and checkpoint path are not (resume
+            // cycles vary with kill timing) and live in provenance.json.
+            entries += detail::formatString(
+                ",\"status\":\"quarantined\",\"class\":\"%s\","
+                "\"exit\":%d,\"signal\":%d}",
+                failureClassName(p->quarantine.cls),
+                p->quarantine.exitCode, p->quarantine.signal);
+        } else {
+            ++missing;
+            entries += ",\"status\":\"missing\"}";
+        }
+    }
+    std::string out = detail::formatString(
+        "{\n\"campaign\":{\"format\":%d,\"points\":%llu,"
+        "\"gridFp\":%llu},\n"
+        "\"summary\":{\"completed\":%llu,\"quarantined\":%llu,"
+        "\"missing\":%llu},\n\"points\":[\n",
+        kJournalFormat, static_cast<unsigned long long>(specs.size()),
+        static_cast<unsigned long long>(state.gridFp),
+        static_cast<unsigned long long>(completed),
+        static_cast<unsigned long long>(quarantined),
+        static_cast<unsigned long long>(missing));
+    out += entries;
+    out += "\n]}\n";
+    return out;
+}
+
+std::string
+renderReportCsv(const std::vector<PointSpec> &specs,
+                const ReplayState &state)
+{
+    std::string out =
+        "id,design,workload,rate,seed,faultRate,status,class,endCycle,"
+        "created,delivered,deliveredFraction,avgLatency,p99Latency,"
+        "avgHops,wakeups,offFraction,energyJ,drained\n";
+    static const char *kMetricCols[] = {
+        "endCycle", "created", "delivered", "deliveredFraction",
+        "avgLatency", "p99Latency", "avgHops", "wakeups", "offFraction",
+        "energyJ", "drained"};
+    for (const PointSpec &spec : specs) {
+        const auto it = state.perPoint.find(spec.id);
+        const ReplayPoint *p =
+            it != state.perPoint.end() ? &it->second : nullptr;
+        out += detail::formatString(
+            "%llu,%s,%s,%g,%llu,%g,",
+            static_cast<unsigned long long>(spec.id),
+            pgDesignName(spec.design), workloadName(spec).c_str(),
+            spec.rate, static_cast<unsigned long long>(spec.seed),
+            spec.faultRate);
+        if (p && p->done) {
+            out += "completed,";
+            for (const char *col : kMetricCols) {
+                std::string raw;
+                // Raw extraction keeps the worker's exact formatting, so
+                // the CSV inherits the report's byte-identity.
+                if (jsonFieldRaw(p->resultLine, col, &raw))
+                    out += raw;
+                out += ",";
+            }
+            out.pop_back();
+            out += "\n";
+        } else if (p && p->quarantined) {
+            out += detail::formatString(
+                "quarantined,%s,,,,,,,,,,,\n",
+                failureClassName(p->quarantine.cls));
+        } else {
+            out += "missing,,,,,,,,,,,,\n";
+        }
+    }
+    return out;
+}
+
+std::string
+renderProvenanceJson(const std::vector<PointSpec> &specs,
+                     const ReplayState &state, const std::string &outDir)
+{
+    std::string out = "{\n\"points\":[\n";
+    bool first = true;
+    for (const PointSpec &spec : specs) {
+        const auto it = state.perPoint.find(spec.id);
+        const ReplayPoint *p =
+            it != state.perPoint.end() ? &it->second : nullptr;
+        // Artifacts live under the directory of the executor whose
+        // journal supplied the terminal event.
+        const PointPaths paths = pointPaths(
+            p && !p->executor.empty() ? outDir + "/" + p->executor
+                                      : outDir,
+            spec.id);
+        if (!first)
+            out += ",\n";
+        first = false;
+        const char *status = "missing";
+        if (p && p->done)
+            status = "completed";
+        else if (p && p->quarantined)
+            status = "quarantined";
+        out += detail::formatString(
+            "{\"id\":%llu,\"status\":\"%s\",\"launches\":%d,"
+            "\"countedFailures\":%d,\"retried\":%d",
+            static_cast<unsigned long long>(spec.id), status,
+            p ? p->launches : 0, p ? p->countedFailures : 0,
+            p ? std::max(0, p->launches - 1) : 0);
+        if (p && p->quarantined) {
+            out += ",\"quarantine\":{\"class\":\"" +
+                   std::string(failureClassName(p->quarantine.cls)) +
+                   "\",\"stderrTail\":\"" +
+                   jsonEscape(p->quarantine.stderrTail) +
+                   "\",\"ckpt\":\"" +
+                   jsonEscape(p->quarantine.ckptPath) + "\"}";
+        }
+        out += ",\"artifacts\":{\"result\":\"" + jsonEscape(paths.result) +
+               "\",\"stderrLog\":\"" + jsonEscape(paths.stderrLog) +
+               "\",\"checkpoint\":\"" + jsonEscape(paths.checkpoint) +
+               "\"}}";
+    }
+    out += "\n]}\n";
+    return out;
+}
 
 #ifdef NORD_CAMPAIGN_POSIX
 
@@ -150,6 +314,7 @@ establishManifest(const std::string &outDir, const std::string &execId,
     return true;
 }
 
+/** Default executor id: the sanitized hostname, stable across reruns. */
 std::string
 autoExecId()
 {
@@ -165,16 +330,12 @@ autoExecId()
             (c >= '0' && c <= '9') || c == '-')
             clean += c;
     }
-    if (clean.empty())
-        clean = "host";
-    return detail::formatString(
-        "exec-%s-%ld-%llu", clean.c_str(), static_cast<long>(getpid()),
-        static_cast<unsigned long long>(monotonicSec() * 1e9));
+    return clean.empty() ? std::string("host") : clean;
 }
 
-/** The other executors' journal files under @p outDir, sorted. */
+/** The other executors' ids (from "journal-<id>.jsonl"), sorted. */
 std::vector<std::string>
-peerJournals(const std::string &outDir, const std::string &ownName)
+peerIds(const std::string &outDir, const std::string &ownId)
 {
     std::vector<std::string> out;
     DIR *d = opendir(outDir.c_str());
@@ -186,9 +347,9 @@ peerJournals(const std::string &outDir, const std::string &ownName)
             continue;
         if (name.compare(name.size() - 6, 6, ".jsonl") != 0)
             continue;
-        if (name == ownName)
-            continue;
-        out.push_back(outDir + "/" + name);
+        std::string id = name.substr(8, name.size() - 14);
+        if (id != ownId)
+            out.push_back(std::move(id));
     }
     closedir(d);
     std::sort(out.begin(), out.end());
@@ -255,8 +416,10 @@ runExecutor(const std::vector<PointSpec> &specs,
     }
     const bool hasManifest = fileExists(opts.outDir + "/campaign.json");
     if (!hasManifest && fileExists(opts.outDir + "/journal.jsonl")) {
-        setErr(err, opts.outDir + " is a classic single-orchestrator "
-                    "campaign directory; resume it without --join");
+        setErr(err, opts.outDir + " is a classic campaign directory "
+                    "(journal.jsonl without campaign.json) from the "
+                    "retired single-process engine; start a fresh --out "
+                    "directory");
         return false;
     }
 
@@ -302,14 +465,14 @@ runExecutor(const std::vector<PointSpec> &specs,
         return false;
     }
 
-    const std::string ownJournalName = "journal-" + execId + ".jsonl";
     CampaignJournal journal;
     ReplayState mine;
-    if (!journal.open(opts.outDir + "/" + ownJournalName, specs.size(),
-                      gridFp, &mine, err))
+    if (!journal.open(opts.outDir + "/journal-" + execId + ".jsonl",
+                      specs.size(), gridFp, &mine, err))
         return false;
     mine.points = specs.size();
     mine.gridFp = gridFp;
+    mine.executor = execId;
 
     /** Merge our in-memory state with every peer journal on disk. */
     ReplayState merged;
@@ -318,8 +481,9 @@ runExecutor(const std::vector<PointSpec> &specs,
     const auto refreshView = [&]() -> bool {
         std::vector<ReplayState> states;
         states.push_back(mine);
-        for (const std::string &path :
-             peerJournals(opts.outDir, ownJournalName)) {
+        for (const std::string &peer : peerIds(opts.outDir, execId)) {
+            const std::string path =
+                opts.outDir + "/journal-" + peer + ".jsonl";
             const std::string content = readWholeFile(path);
             if (content.empty())
                 continue;  // a joiner that has not written its header yet
@@ -335,6 +499,7 @@ runExecutor(const std::vector<PointSpec> &specs,
                              execId.c_str(), path.c_str(), perr.c_str());
                 continue;
             }
+            s.executor = peer;
             states.push_back(std::move(s));
         }
         std::string merr;
@@ -495,7 +660,7 @@ runExecutor(const std::vector<PointSpec> &specs,
     }
 
     while (true) {
-        if (campaignDrainRequested() || drainSelf) {
+        if (g_drainRequested || drainSelf) {
             outcome.interrupted = true;
             break;
         }
@@ -785,7 +950,7 @@ runExecutor(const std::vector<PointSpec> &specs,
     (void)opts;
     (void)out;
     if (err)
-        *err = "multi-executor campaigns require a POSIX host";
+        *err = "campaigns require a POSIX host";
     return false;
 }
 

@@ -1,10 +1,29 @@
 /**
  * @file
- * Multi-executor campaign engine: any number of executors cooperatively
- * drain one grid over a shared filesystem.
+ * The campaign engine: one or more executors cooperatively drain one
+ * grid over a shared filesystem. A lone executor is simply a fleet of
+ * one; a second `nord-campaign --out DIR` joins the first.
  *
- * An executor is the fleet-mode counterpart of runCampaign. Joining a
- * campaign directory:
+ * Each executor supervises up to `workers` forked point workers, each
+ * heartbeating through its checkpoint file's mtime. The rules per
+ * worker:
+ *
+ *  - no heartbeat progress for hangTimeoutSec  -> SIGKILL, class "hang";
+ *  - nonzero taxonomy exit                     -> classified per
+ *    exit_codes.hh (deterministic failures quarantine immediately,
+ *    transient ones retry with capped jittered backoff);
+ *  - death by signal                           -> class "crash", retried;
+ *  - chaos self-test kill (--chaos)            -> class "chaos", retried
+ *    and NEVER counted toward the quarantine budget -- the kill was
+ *    inflicted by the executor itself and says nothing about the point.
+ *    This is what keeps chaos runs' reports byte-identical to
+ *    undisturbed runs'.
+ *
+ * After maxFailures counted failures (summed over every executor's
+ * journal) a point is quarantined as poison with diagnostics instead of
+ * wedging the campaign.
+ *
+ * Joining a campaign directory:
  *
  *  1. MANIFEST -- the first joiner link(2)s "<outDir>/campaign.json"
  *     into existence, freezing the grid (points, fingerprint), the
@@ -17,9 +36,10 @@
  *     shards whose lease it currently holds (lease.hh), and it stamps
  *     every journal event with the shard's fencing token.
  *  3. JOURNALS -- each executor appends to its own
- *     "<outDir>/journal-<execId>.jsonl". Nobody ever writes another
- *     executor's journal; the canonical view is the deterministic merge
- *     (merge.hh) of all of them, re-read every scheduling tick.
+ *     "<outDir>/journal-<execId>.jsonl", journaling every transition
+ *     before acting on it. Nobody ever writes another executor's
+ *     journal; the canonical view is the deterministic merge (merge.hh)
+ *     of all of them, re-read every scheduling tick.
  *  4. SELF-FENCE -- when the lease layer cannot prove ownership
  *     (partition, suspension, steal), the executor kills its worker
  *     fleet and exits kExitLeaseLost WITHOUT journaling anything
@@ -35,7 +55,11 @@
  * Worker artifacts (checkpoints, result files, stderr logs) live under
  * "<outDir>/<execId>/" so two executors' workers can never collide on
  * a temp file; results travel between executors through journal "done"
- * events, not artifact files.
+ * events, not artifact files. The default execId is the sanitized
+ * hostname, so a SIGKILLed executor rerun on the same host reopens its
+ * own journal and its workers resume from their own checkpoints. SIGINT
+ * / SIGTERM drain the fleet (workers are killed -- their checkpoints
+ * ARE the resumable state); rerunning resumes.
  */
 
 #ifndef NORD_CAMPAIGN_EXECUTOR_HH
@@ -45,21 +69,41 @@
 #include <string>
 #include <vector>
 
-#include "campaign/orchestrator.hh"
+#include "campaign/backoff.hh"
+#include "campaign/campaign_point.hh"
+#include "campaign/journal.hh"
 
 namespace nord {
 namespace campaign {
 
-/** Executor knobs (the classic knobs plus the fleet layer's). */
+/** Chaos self-test: kill random live workers on a seeded schedule. */
+struct ChaosOptions
+{
+    bool enabled = false;
+    std::uint64_t seed = 1;        ///< schedule + victim selection seed
+    double meanIntervalSec = 0.5;  ///< mean time between kills
+    int maxKills = 0;              ///< stop after this many (0 = no cap)
+
+    // Partition chaos: SIGSTOP the executor itself for
+    // partitionDurationSec on a seeded schedule, simulating a network
+    // partition -- lease expiry, takeover by another executor, and a
+    // stale-writer resume, the full self-fencing path.
+    double partitionMeanSec = 0.0;     ///< mean time between (0 = off)
+    double partitionDurationSec = 0.0; ///< suspension length
+    int maxPartitions = 1;             ///< stop after this many (floored
+                                       ///< to 1; unbounded is never sane)
+};
+
+/** Executor knobs. */
 struct ExecutorOptions
 {
     std::string outDir;    ///< shared campaign directory
-    std::string execId;    ///< unique executor id ("" = auto-generate)
+    std::string execId;    ///< unique executor id ("" = hostname)
     std::uint64_t shards = 0;    ///< 0 = auto (first joiner decides)
     double leaseGraceSec = 2.0;  ///< first joiner freezes this
     double leaseRenewSec = 0.0;  ///< 0 = grace/8
-    int workers = 2;
-    int maxFailures = 3;
+    int workers = 2;             ///< concurrent worker processes
+    int maxFailures = 3;         ///< counted failures before quarantine
     double hangTimeoutSec = 30.0;
     double pollIntervalSec = 0.05;
     BackoffPolicy backoff;
@@ -74,7 +118,7 @@ struct ExecutorOptions
 /** Final (or fenced / drained) executor state. */
 struct ExecutorOutcome
 {
-    std::string execId;            ///< resolved id (after auto-generate)
+    std::string execId;            ///< resolved id (after the default)
     std::uint64_t completed = 0;   ///< merged-view terminal counts
     std::uint64_t quarantined = 0;
     std::uint64_t missing = 0;
@@ -92,18 +136,58 @@ struct ExecutorOutcome
 };
 
 /**
- * Join (or start) the multi-executor campaign for @p specs under
+ * Join (or start, or resume) the campaign for @p specs under
  * opts.outDir and work it until every point is terminal in the merged
- * view, a drain is requested, or this executor fences.
+ * view, a drain is requested, or this executor fences. The executor
+ * that sees every point terminal writes report.json / report.csv /
+ * provenance.json; the report files are a pure function of the grid.
  *
  * Returns false with @p err only on orchestration failure (I/O, a grid
- * mismatch against the manifest, a classic campaign directory, a merge
- * conflict). Fencing is NOT an error: the function returns true with
- * outcome.fenced set and the caller exits kExitLeaseLost.
+ * mismatch against the manifest, a directory left by the retired
+ * single-process engine, a journal held by a live executor with the
+ * same id, a merge conflict). Quarantined points, drains and fencing
+ * are NOT errors: fencing returns true with outcome.fenced set and the
+ * caller exits kExitLeaseLost.
  */
 bool runExecutor(const std::vector<PointSpec> &specs,
                  const ExecutorOptions &opts, ExecutorOutcome *out,
                  std::string *err);
+
+/**
+ * Ask a running executor to drain: stop launching, kill and reap the
+ * fleet, flush the journal, return with outcome.interrupted set.
+ * Async-signal-safe; wired to SIGINT/SIGTERM by the CLI.
+ */
+void requestCampaignDrain();
+
+/** Reset the drain latch (tests run several campaigns per process). */
+void clearCampaignDrain();
+
+// --- Report rendering (exposed for tests) -------------------------------
+
+/**
+ * Render the aggregate JSON report for @p specs from replayed journal
+ * state @p state: one entry per point in id order, status
+ * completed/quarantined/missing, completed metrics pasted verbatim from
+ * the worker result lines. Deterministic by construction.
+ */
+std::string renderReportJson(const std::vector<PointSpec> &specs,
+                             const ReplayState &state);
+
+/** CSV twin of renderReportJson (one row per point, id order). */
+std::string renderReportCsv(const std::vector<PointSpec> &specs,
+                            const ReplayState &state);
+
+/**
+ * Render provenance.json: launches, counted failures, retry counts and
+ * artifact paths per point. Artifact paths name the directory of the
+ * executor whose journal supplied the point's terminal event
+ * (ReplayPoint::executor). Carries everything nondeterministic that the
+ * byte-identical report must exclude.
+ */
+std::string renderProvenanceJson(const std::vector<PointSpec> &specs,
+                                 const ReplayState &state,
+                                 const std::string &outDir);
 
 }  // namespace campaign
 }  // namespace nord

@@ -6,6 +6,7 @@
 
 #include "campaign/lease.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -135,6 +136,7 @@ LeaseManager::observe(std::uint64_t shard, const LeaseInfo &info,
     ShardView &v = shards_[shard];
     const std::uint64_t tok = exists ? info.token : 0;
     const std::uint64_t beat = exists ? info.beat : 0;
+    v.maxToken = std::max(v.maxToken, tok);
     if (!v.observed || v.seenToken != tok || v.seenBeat != beat) {
         v.observed = true;
         v.seenToken = tok;
@@ -182,6 +184,7 @@ LeaseManager::tryAcquire(std::uint64_t shard, double now,
         }
         v.held = true;
         v.token = mine.token;
+        v.maxToken = std::max(v.maxToken, mine.token);
         v.beat = mine.beat;
         v.lastRenewOk = now;
         v.nextRenewAt = now + opts_.renewSec;
@@ -197,11 +200,12 @@ LeaseManager::tryAcquire(std::uint64_t shard, double now,
     if (!released && !expired)
         return false;
 
-    // Steal: rename token+1 over the file, settle, read back. rename is
-    // atomic but not exclusive, so the read-back decides the race.
+    // Steal: rename a token above every token seen over the file,
+    // settle, read back. rename is atomic but not exclusive, so the
+    // read-back decides the race.
     LeaseInfo mine;
     mine.shard = shard;
-    mine.token = cur.token + 1;
+    mine.token = v.maxToken + 1;
     mine.owner = opts_.execId;
     mine.beat = 1;
     if (!writeLease(mine))
@@ -217,6 +221,7 @@ LeaseManager::tryAcquire(std::uint64_t shard, double now,
     const double held = monotonicSec();
     v.held = true;
     v.token = mine.token;
+    v.maxToken = mine.token;
     v.beat = mine.beat;
     v.lastRenewOk = held;
     v.nextRenewAt = held + opts_.renewSec;
@@ -255,8 +260,12 @@ LeaseManager::renewDue(double now)
 
         const std::string path = leasePath(opts_.leaseDir, kv.first);
         LeaseInfo cur;
-        if (!readLeaseFile(path, &cur) || cur.owner != opts_.execId ||
-            cur.token != v.token) {
+        // A lower token can only be a stale writer's late rename (tokens
+        // never decrease): re-assert ours over it.
+        const bool clobbered = readLeaseFile(path, &cur) &&
+                               cur.token < v.token;
+        if (!clobbered &&
+            (cur.owner != opts_.execId || cur.token != v.token)) {
             fence(detail::formatString(
                 "shard %llu lease no longer ours (owner \"%s\" token "
                 "%llu, expected token %llu)",
@@ -266,7 +275,10 @@ LeaseManager::renewDue(double now)
                 static_cast<unsigned long long>(v.token)));
             return;
         }
-        LeaseInfo next = cur;
+        LeaseInfo next;
+        next.shard = kv.first;
+        next.token = v.token;
+        next.owner = opts_.execId;
         next.beat = v.beat + 1;
         if (!writeLease(next)) {
             // Transient I/O trouble: the lease is still provably ours
@@ -275,8 +287,14 @@ LeaseManager::renewDue(double now)
             continue;
         }
         LeaseInfo after;
-        if (!readLeaseFile(path, &after) ||
-            after.owner != opts_.execId || after.token != v.token) {
+        const bool readBack = readLeaseFile(path, &after);
+        if (!readBack || after.owner != opts_.execId ||
+            after.token != v.token) {
+            if (readBack && after.token < v.token) {
+                // Clobbered again by the stale writer: re-assert soon.
+                v.nextRenewAt = now + opts_.renewSec / 4.0;
+                continue;
+            }
             fence(detail::formatString(
                 "shard %llu usurped during renewal",
                 static_cast<unsigned long long>(kv.first)));

@@ -36,6 +36,15 @@
  * monotonic for the lifetime of the campaign directory, which is what
  * makes the token usable as a fencing token at result-commit time.
  *
+ * A STALE RENEWAL can still land: an owner suspended between its
+ * verifying read and its rename wakes up and renames its old token
+ * over a thief's newer lease. Tokens only ever grow, so a holder whose
+ * renewal reads a LOWER token than its own knows the file was clobbered
+ * by a stale writer and simply re-asserts its lease (the stale writer
+ * fences on its next renewal, when it reads the higher token back), and
+ * a thief always steals with a token above every token it has seen, so
+ * a clobbered file cannot make it reuse a live token.
+ *
  * SELF-FENCING is deliberately more conservative than stealing: an
  * owner considers its lease lost as soon as it cannot prove a renewal
  * younger than graceSec/2 (writable() returns false and the manager
@@ -115,8 +124,9 @@ class LeaseManager
     /**
      * Renew every held lease whose heartbeat is due. Latches fenced()
      * when any held lease is too stale to prove (older than grace/2) or
-     * a renewal observes another owner. Once fenced, no lease file is
-     * ever written again.
+     * a renewal observes a newer token or another owner of ours; a
+     * lower token is a stale writer's clobber and is overwritten. Once
+     * fenced, no lease file is ever written again.
      */
     void renewDue(double now);
 
@@ -149,6 +159,7 @@ class LeaseManager
         std::uint64_t seenToken = 0;
         std::uint64_t seenBeat = 0;
         double seenSince = 0.0;  ///< when (seenToken, seenBeat) appeared
+        std::uint64_t maxToken = 0;  ///< highest token ever seen or held
     };
 
     void fence(const std::string &why);

@@ -22,7 +22,7 @@ setErr(std::string *err, std::string what)
         *err = std::move(what);
 }
 
-/** Snapshot-dialect "fails" line (byte-equal to journal rotation's). */
+/** Snapshot-dialect "fails" line. */
 std::string
 renderFailsLine(std::uint64_t id, int counted)
 {
@@ -31,7 +31,7 @@ renderFailsLine(std::uint64_t id, int counted)
         static_cast<unsigned long long>(id), counted);
 }
 
-/** Snapshot-dialect "done" line (byte-equal to journal rotation's). */
+/** Snapshot-dialect "done" line. */
 std::string
 renderDoneLine(std::uint64_t id, const std::string &resultLine)
 {
@@ -41,7 +41,7 @@ renderDoneLine(std::uint64_t id, const std::string &resultLine)
            resultLine + "}\n";
 }
 
-/** Snapshot-dialect quarantine line (byte-equal to rotation's). */
+/** Snapshot-dialect quarantine line. */
 std::string
 renderQuarantineLine(std::uint64_t id, const QuarantineRecord &q)
 {
@@ -64,28 +64,36 @@ terminalBytes(std::uint64_t id, const ReplayPoint &p)
     return renderQuarantineLine(id, p.quarantine);
 }
 
+/** Make candidate @p c (from executor @p source) the winner @p w. */
+void
+adoptTerminal(const ReplayPoint &c, const std::string &source,
+              ReplayPoint *w)
+{
+    w->done = c.done;
+    w->quarantined = !c.done && c.quarantined;
+    w->resultLine = c.resultLine;
+    w->quarantine = c.quarantine;
+    w->token = c.token;
+    w->executor = source;
+}
+
 /**
- * Fold the terminal state of candidate @p c into winner @p w (both for
- * point @p id). Returns false on a same-token done divergence.
+ * Fold the terminal state of candidate @p c, read from executor
+ * @p source's journal, into winner @p w (both for point @p id).
+ * Same-token done divergence was already rejected by the caller's
+ * cross-journal check, which is order-independent.
  */
-bool
-foldTerminal(std::uint64_t id, const ReplayPoint &c, ReplayPoint *w,
-             MergeStats *stats, std::string *err)
+void
+foldTerminal(std::uint64_t id, const ReplayPoint &c,
+             const std::string &source, ReplayPoint *w, MergeStats *stats)
 {
     if (!c.done && !c.quarantined)
-        return true;
+        return;
     if (!w->done && !w->quarantined) {
-        w->done = c.done;
-        w->quarantined = !c.done && c.quarantined;
-        w->resultLine = c.resultLine;
-        w->quarantine = c.quarantine;
-        w->token = c.token;
-        return true;
+        adoptTerminal(c, source, w);
+        return;
     }
     // Total order: token, then done-over-quarantine, then bytes.
-    // (Same-token done divergence was already rejected by the caller's
-    // cross-journal check, which is order-independent.)
-    (void)err;
     bool cWins = false;
     if (c.token != w->token) {
         cWins = c.token > w->token;
@@ -99,20 +107,16 @@ foldTerminal(std::uint64_t id, const ReplayPoint &c, ReplayPoint *w,
         if (cb == wb) {
             if (stats)
                 stats->duplicates += 1;
-            return true;
+            // Provenance stays order-independent too: smallest id wins.
+            w->executor = std::min(w->executor, source);
+            return;
         }
         cWins = cb < wb;
     }
     if (stats)
         stats->staleDropped += 1;
-    if (cWins) {
-        w->done = c.done;
-        w->quarantined = !c.done && c.quarantined;
-        w->resultLine = c.resultLine;
-        w->quarantine = c.quarantine;
-        w->token = c.token;
-    }
-    return true;
+    if (cWins)
+        adoptTerminal(c, source, w);
 }
 
 }  // namespace
@@ -162,8 +166,7 @@ mergeReplayStates(const std::vector<ReplayState> &states,
             ReplayPoint &m = merged->perPoint[id];
             m.launches += c.launches;
             m.countedFailures += c.countedFailures;
-            if (!foldTerminal(id, c, &m, stats, err))
-                return false;
+            foldTerminal(id, c, s.executor, &m, stats);
         }
         merged->events += s.events;
     }

@@ -3,7 +3,7 @@
  * Deterministic fold of per-executor journals into one canonical
  * campaign state.
  *
- * Every executor in a multi-executor campaign appends to its own
+ * Every executor of a campaign appends to its own
  * journal; the canonical view is a pure, ORDER-INDEPENDENT function of
  * the set of journal contents. That is what keeps report.json /
  * report.csv byte-identical regardless of executor count, kill
@@ -27,10 +27,15 @@
  *    token mean the simulator itself is nondeterministic -- exactly the
  *    bug this engine exists to surface, never to paper over.
  *
- * renderCanonicalJournal emits the merged state in the classic
- * single-executor snapshot dialect (the same bytes journal rotation
- * writes, no shard/token stamps), so the canonical journal of a fully
- * drained fleet campaign is readable by any classic tool.
+ * The merge also records which executor's journal supplied each
+ * point's winning terminal event (ReplayPoint::executor), so
+ * provenance.json can name that executor's artifact files. That field
+ * is provenance only: renderCanonicalJournal and the reports never
+ * render it.
+ *
+ * renderCanonicalJournal emits the merged state as an unstamped
+ * snapshot (open header, counted-failure totals, terminal events; no
+ * shard/token stamps) that replays like any other journal.
  */
 
 #ifndef NORD_CAMPAIGN_MERGE_HH
@@ -73,7 +78,7 @@ bool mergeJournals(std::uint64_t points, std::uint64_t gridFp,
                    std::string *err);
 
 /**
- * Render @p merged as a classic snapshot journal (open header, then per
+ * Render @p merged as a snapshot journal (open header, then per
  * point in id order: counted-failure total, terminal event). Byte-equal
  * for byte-equal merged states.
  */

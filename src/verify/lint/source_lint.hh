@@ -21,8 +21,7 @@
  *    channel is enumerable);
  *  - determinism: libc rand()/srand(), std::random_device and wall-clock
  *    time() anywhere in src/tools/bench/examples/tests except the
- *    seeded generator src/common/rng.* (absorbed from the retired
- *    scripts/determinism_lint.sh);
+ *    seeded generator src/common/rng.*;
  *  - flit-heap: a direct new-expression of Flit or PacketDescriptor in
  *    src/ outside the arena itself (src/common/arena.*) -- flit/packet
  *    storage goes through arena-backed containers so the hot path never

@@ -34,9 +34,9 @@ trackedConfig(PgDesign design)
     return cfg;
 }
 
-/** Uniform-random campaign with drain; returns the final state hash. */
+/** Uniform-random run with drain; returns the final state hash. */
 std::uint64_t
-runCampaign(NocSystem &sys, Cycle cycles)
+runWithDrain(NocSystem &sys, Cycle cycles)
 {
     SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.05,
                              sys.config().seed);
@@ -54,7 +54,7 @@ TEST(AccessTracker, CleanContractsAllDesigns)
           PgDesign::kNord}) {
         SCOPED_TRACE(pgDesignName(design));
         NocSystem sys(trackedConfig(design));
-        runCampaign(sys, 4000);
+        runWithDrain(sys, 4000);
 
         const AccessTracker *t = sys.accessTracker();
         ASSERT_NE(t, nullptr);
@@ -71,7 +71,7 @@ TEST(AccessTracker, CleanContractsAllDesigns)
 TEST(AccessTracker, ObservesExpectedChannels)
 {
     NocSystem sys(trackedConfig(PgDesign::kNord));
-    runCampaign(sys, 6000);
+    runWithDrain(sys, 6000);
     const AccessTracker *t = sys.accessTracker();
     ASSERT_NE(t, nullptr);
 
@@ -105,7 +105,7 @@ TEST(AccessTracker, RogueWriteIsFlagged)
     NocSystem sys(trackedConfig(PgDesign::kNord));
     AccessTracker *t = sys.accessTracker();
     ASSERT_NE(t, nullptr);
-    runCampaign(sys, 1000);
+    runWithDrain(sys, 1000);
     ASSERT_TRUE(t->verify().empty());
 
     // Simulate router0 scribbling on ni1's ejection queue -- no such
@@ -156,8 +156,8 @@ TEST(AccessTracker, TrackingIsObservationalOnly)
     EXPECT_EQ(sysTracked.configFingerprint(), sysPlain.configFingerprint())
         << "trackAccess must not change checkpoint compatibility";
 
-    const std::uint64_t hashTracked = runCampaign(sysTracked, 4000);
-    const std::uint64_t hashPlain = runCampaign(sysPlain, 4000);
+    const std::uint64_t hashTracked = runWithDrain(sysTracked, 4000);
+    const std::uint64_t hashPlain = runWithDrain(sysPlain, 4000);
     EXPECT_EQ(hashTracked, hashPlain)
         << "access tracking perturbed the simulation";
     EXPECT_EQ(sysTracked.stats().packetsDelivered(),
@@ -167,7 +167,7 @@ TEST(AccessTracker, TrackingIsObservationalOnly)
 TEST(AccessTracker, DumpFormats)
 {
     NocSystem sys(trackedConfig(PgDesign::kConvPg));
-    runCampaign(sys, 2000);
+    runWithDrain(sys, 2000);
     const AccessTracker *t = sys.accessTracker();
     ASSERT_NE(t, nullptr);
 

@@ -1,14 +1,15 @@
 /**
  * @file
- * Campaign orchestrator tests: the crash-resumable work queue.
+ * Campaign engine tests: the crash-resumable work queue.
  *
  * The contract under test mirrors the checkpoint suite's, one level up:
  * the aggregate report is a pure function of the grid. Any sequence of
- * worker crashes, chaos kills, journal truncations and orchestrator
+ * worker crashes, chaos kills, journal truncations and executor
  * re-execs must yield byte-identical report.json / report.csv. The unit
  * half exercises the pieces (exit taxonomy, backoff determinism, grid
- * expansion, journal replay/rotation); the end-to-end half forks real
- * worker fleets against tiny grids.
+ * expansion, journal replay and canonical snapshots); the end-to-end
+ * half forks real single-executor worker fleets against tiny grids
+ * (test_lease.cc covers multi-executor fleets).
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +27,9 @@
 #include "campaign/campaign_point.hh"
 #include "campaign/exit_codes.hh"
 #include "campaign/fleet.hh"
+#include "campaign/executor.hh"
 #include "campaign/journal.hh"
-#include "campaign/orchestrator.hh"
+#include "campaign/merge.hh"
 
 #ifdef NORD_CAMPAIGN_POSIX
 #include <signal.h>
@@ -328,49 +330,60 @@ TEST(CampaignJournalTest, TornTailIgnoredAndRepaired)
     std::remove(path.c_str());
 }
 
-TEST(CampaignJournalTest, RotationCompactsPreservingState)
+TEST(CampaignJournalTest, CanonicalSnapshotRoundTrip)
 {
-    const std::string path = tmpPath("journal_rotate.jsonl");
+    // The canonical journal a completed campaign leaves behind is a
+    // snapshot: replaying it must give back the state it was rendered
+    // from -- counted failures, result bytes and quarantine class.
+    const std::string path = tmpPath("journal_canonical.jsonl");
     std::remove(path.c_str());
     ReplayState replay;
     std::string err;
     CampaignJournal j;
-    ASSERT_TRUE(j.open(path, 2, 0x77, &replay, &err)) << err;
-    // Heavy retry traffic on point 0, then success; quarantine point 1.
+    ASSERT_TRUE(j.open(path, 3, 0x77, &replay, &err)) << err;
+    // Heavy retry traffic on point 0, then success; quarantine point 1;
+    // point 2 fails once and is still pending.
     for (int n = 1; n <= 20; ++n) {
-        ASSERT_TRUE(j.appendAttempt(0, n));
+        ASSERT_TRUE(j.appendAttempt(0, n, ShardStamp{0, 1}));
         ASSERT_TRUE(j.appendFail(0, FailureClass::kCrash, 0, SIGSEGV,
-                                 true, "boom", ""));
+                                 true, "boom", "", ShardStamp{0, 1}));
     }
-    ASSERT_TRUE(j.appendAttempt(0, 21));
-    ASSERT_TRUE(j.appendDone(0, "{\"fine\":1}"));
+    ASSERT_TRUE(j.appendDone(0, "{\"fine\":1}", ShardStamp{0, 1}));
     QuarantineRecord q;
     q.cls = FailureClass::kHang;
     q.signal = SIGKILL;
-    ASSERT_TRUE(j.appendQuarantine(1, q));
-
-    const std::size_t before = slurp(path).size();
-    ReplayState state;
-    ASSERT_TRUE(CampaignJournal::replayContent(slurp(path), 2, 0x77,
-                                               &state, &err))
-        << err;
-    ASSERT_TRUE(j.rotate(state)) << j.error();
+    q.stderrTail = "tail \"quoted\"";
+    ASSERT_TRUE(j.appendQuarantine(1, q, ShardStamp{1, 2}));
+    ASSERT_TRUE(j.appendFail(2, FailureClass::kInfra, kExitInfraFailure,
+                             0, true, "", "", ShardStamp{0, 1}));
     j.close();
 
-    EXPECT_LT(slurp(path).size(), before);
-    CampaignJournal j2;
-    ASSERT_TRUE(j2.open(path, 2, 0x77, &replay, &err)) << err;
-    EXPECT_TRUE(replay.perPoint[0].done);
-    EXPECT_EQ(replay.perPoint[0].resultLine, "{\"fine\":1}");
-    EXPECT_EQ(replay.perPoint[0].countedFailures, 20)
-        << "counted totals survive compaction";
-    EXPECT_TRUE(replay.perPoint[1].quarantined);
-    EXPECT_EQ(replay.perPoint[1].quarantine.cls, FailureClass::kHang);
-    j2.close();
+    const std::string full = slurp(path);
+    ReplayState state;
+    ASSERT_TRUE(CampaignJournal::replayContent(full, 3, 0x77, &state, &err))
+        << err;
+    const std::string canonical = renderCanonicalJournal(state);
+    EXPECT_LT(canonical.size(), full.size()) << "a snapshot compacts";
+
+    ReplayState back;
+    ASSERT_TRUE(
+        CampaignJournal::replayContent(canonical, 3, 0x77, &back, &err))
+        << err;
+    EXPECT_TRUE(back.perPoint[0].done);
+    EXPECT_EQ(back.perPoint[0].resultLine, "{\"fine\":1}");
+    EXPECT_EQ(back.perPoint[0].countedFailures, 20)
+        << "counted totals survive the snapshot";
+    EXPECT_TRUE(back.perPoint[1].quarantined);
+    EXPECT_EQ(back.perPoint[1].quarantine.cls, FailureClass::kHang);
+    EXPECT_EQ(back.perPoint[1].quarantine.stderrTail, q.stderrTail);
+    EXPECT_FALSE(back.perPoint[2].done || back.perPoint[2].quarantined);
+    EXPECT_EQ(back.perPoint[2].countedFailures, 1);
+    EXPECT_EQ(renderCanonicalJournal(back), canonical)
+        << "the snapshot is a fixed point";
     std::remove(path.c_str());
 }
 
-TEST(CampaignJournalTest, LockExcludesSecondOrchestrator)
+TEST(CampaignJournalTest, LockExcludesSecondWriter)
 {
     const std::string path = tmpPath("journal_lock.jsonl");
     std::remove(path.c_str());
@@ -380,7 +393,11 @@ TEST(CampaignJournalTest, LockExcludesSecondOrchestrator)
     ASSERT_TRUE(j1.open(path, 1, 0x1, &replay, &err)) << err;
     CampaignJournal j2;
     EXPECT_FALSE(j2.open(path, 1, 0x1, &replay, &err))
-        << "two live orchestrators would interleave journal writes";
+        << "two live writers would interleave journal writes";
+    EXPECT_NE(err.find("--executor-id"), std::string::npos)
+        << "the refusal must tell a second same-host executor what to "
+           "do: "
+        << err;
     j1.close();
     CampaignJournal j3;
     EXPECT_TRUE(j3.open(path, 1, 0x1, &replay, &err)) << err;
@@ -440,11 +457,13 @@ TEST(CampaignReport, RenderingIsDeterministic)
 // End-to-end fleets (these fork real workers).
 // ---------------------------------------------------------------------
 
-OrchestratorOptions
+/** A single-executor campaign under a fixed executor id. */
+ExecutorOptions
 e2eOptions(const std::string &outDir)
 {
-    OrchestratorOptions opts;
+    ExecutorOptions opts;
     opts.outDir = outDir;
+    opts.execId = "solo";
     opts.workers = 2;
     opts.maxFailures = 2;
     opts.hangTimeoutSec = 30.0;
@@ -471,14 +490,15 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
     clearCampaignDrain();
     const std::string dir = freshDir("campaign_e2e");
     const std::vector<PointSpec> specs = expandGrid(e2eGrid());
-    const OrchestratorOptions opts = e2eOptions(dir);
+    const ExecutorOptions opts = e2eOptions(dir);
 
-    CampaignOutcome out;
+    ExecutorOutcome out;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, opts, &out, &err)) << err;
+    ASSERT_TRUE(runExecutor(specs, opts, &out, &err)) << err;
     EXPECT_EQ(out.completed, specs.size());
     EXPECT_EQ(out.quarantined, 0u);
     EXPECT_FALSE(out.interrupted);
+    EXPECT_TRUE(out.wroteReports);
     const std::string json1 = slurp(out.reportJson);
     const std::string csv1 = slurp(out.reportCsv);
     ASSERT_FALSE(json1.empty());
@@ -486,17 +506,17 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
 
     // Resume with everything already terminal: no new launches, same
     // bytes.
-    CampaignOutcome out2;
-    ASSERT_TRUE(runCampaign(specs, opts, &out2, &err)) << err;
+    ExecutorOutcome out2;
+    ASSERT_TRUE(runExecutor(specs, opts, &out2, &err)) << err;
     EXPECT_EQ(out2.launches, 0u);
     EXPECT_EQ(slurp(out2.reportJson), json1);
     EXPECT_EQ(slurp(out2.reportCsv), csv1);
 
-    // Amputate the journal back to its first two lines (the shape an
-    // orchestrator SIGKILL leaves behind): the rerun must redo the lost
-    // work -- resuming workers from leftover checkpoints -- and land on
-    // the same report bytes.
-    const std::string jpath = dir + "/journal.jsonl";
+    // Amputate the executor's journal back to its first two lines (the
+    // shape a SIGKILL leaves behind): the rerun must redo the lost work
+    // -- resuming workers from leftover checkpoints -- and land on the
+    // same report bytes.
+    const std::string jpath = dir + "/journal-solo.jsonl";
     const std::string full = slurp(jpath);
     std::size_t cut = full.find('\n');
     ASSERT_NE(cut, std::string::npos);
@@ -506,13 +526,17 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
     std::remove(out.reportJson.c_str());
     std::remove(out.reportCsv.c_str());
 
-    CampaignOutcome out3;
-    ASSERT_TRUE(runCampaign(specs, opts, &out3, &err)) << err;
+    ExecutorOutcome out3;
+    ASSERT_TRUE(runExecutor(specs, opts, &out3, &err)) << err;
     EXPECT_EQ(out3.completed, specs.size());
     EXPECT_GT(out3.launches, 0u);
     EXPECT_EQ(slurp(out3.reportJson), json1)
         << "a resumed campaign's report must be byte-identical";
     EXPECT_EQ(slurp(out3.reportCsv), csv1);
+    EXPECT_NE(slurp(pointPaths(dir + "/solo", 0).stderrLog)
+                  .find("resumed from"),
+              std::string::npos)
+        << "the rerun worker must resume mid-point from its checkpoint";
 }
 
 TEST(CampaignEndToEnd, PoisonPointQuarantinedWithDiagnostics)
@@ -523,9 +547,9 @@ TEST(CampaignEndToEnd, PoisonPointQuarantinedWithDiagnostics)
     ASSERT_GE(specs.size(), 2u);
     specs[1].selfTest = SelfTest::kPoison;
 
-    CampaignOutcome out;
+    ExecutorOutcome out;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, e2eOptions(dir), &out, &err)) << err;
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(dir), &out, &err)) << err;
     EXPECT_EQ(out.completed, specs.size() - 1);
     EXPECT_EQ(out.quarantined, 1u);
 
@@ -535,7 +559,7 @@ TEST(CampaignEndToEnd, PoisonPointQuarantinedWithDiagnostics)
     EXPECT_NE(json.find("\"class\":\"gate\""), std::string::npos)
         << "a deterministic gate failure must quarantine on the first "
            "attempt, not burn retries: " << json;
-    // The journal carries the quarantine diagnostics.
+    // The canonical journal carries the quarantine diagnostics.
     const std::string journal = slurp(dir + "/journal.jsonl");
     EXPECT_NE(journal.find("\"event\":\"quarantine\""),
               std::string::npos);
@@ -549,13 +573,13 @@ TEST(CampaignEndToEnd, HangPointKilledByHeartbeatAndQuarantined)
     ASSERT_GE(specs.size(), 2u);
     specs[0].selfTest = SelfTest::kHang;
 
-    OrchestratorOptions opts = e2eOptions(dir);
+    ExecutorOptions opts = e2eOptions(dir);
     opts.hangTimeoutSec = 0.5;
     opts.worker.checkpointEvery = 50;
 
-    CampaignOutcome out;
+    ExecutorOutcome out;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, opts, &out, &err)) << err;
+    ASSERT_TRUE(runExecutor(specs, opts, &out, &err)) << err;
     EXPECT_EQ(out.quarantined, 1u);
     EXPECT_EQ(out.completed, specs.size() - 1);
     const std::string json = slurp(out.reportJson);
@@ -572,22 +596,22 @@ TEST(CampaignEndToEnd, ChaosKillsNeverChangeTheReport)
     // Undisturbed reference run.
     const std::string cleanDir = freshDir("campaign_chaos_clean");
     const std::vector<PointSpec> specs = expandGrid(grid);
-    CampaignOutcome clean;
+    ExecutorOutcome clean;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, e2eOptions(cleanDir), &clean, &err))
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(cleanDir), &clean, &err))
         << err;
     ASSERT_EQ(clean.completed, specs.size());
 
     // Same grid under chaos: workers are SIGKILLed on a seeded schedule
     // and resume from their checkpoints.
     const std::string chaosDir = freshDir("campaign_chaos");
-    OrchestratorOptions opts = e2eOptions(chaosDir);
+    ExecutorOptions opts = e2eOptions(chaosDir);
     opts.chaos.enabled = true;
     opts.chaos.seed = 7;
     opts.chaos.meanIntervalSec = 0.05;
     opts.chaos.maxKills = 3;
-    CampaignOutcome chaotic;
-    ASSERT_TRUE(runCampaign(specs, opts, &chaotic, &err)) << err;
+    ExecutorOutcome chaotic;
+    ASSERT_TRUE(runExecutor(specs, opts, &chaotic, &err)) << err;
     EXPECT_EQ(chaotic.completed, specs.size());
     EXPECT_GE(chaotic.chaosKills, 1u)
         << "the schedule never fired; the test proved nothing";
@@ -598,33 +622,78 @@ TEST(CampaignEndToEnd, ChaosKillsNeverChangeTheReport)
     EXPECT_EQ(slurp(chaotic.reportCsv), slurp(clean.reportCsv));
 }
 
+TEST(CampaignEndToEnd, ClassicDirectoryIsRefused)
+{
+    // A directory left by the retired single-process engine has a
+    // journal.jsonl but no campaign.json manifest. Joining it would mix
+    // an unfenced journal into the merge, so the executor refuses.
+    clearCampaignDrain();
+    const std::string dir = freshDir("campaign_classic");
+    const std::vector<PointSpec> specs = expandGrid(e2eGrid());
+    std::filesystem::create_directories(dir);
+    spew(dir + "/journal.jsonl",
+         CampaignJournal::openLine(specs.size(), gridFingerprint(specs)) +
+             "\n{\"event\":\"attempt\",\"point\":0,\"launch\":1}\n");
+
+    ExecutorOutcome out;
+    std::string err;
+    EXPECT_FALSE(runExecutor(specs, e2eOptions(dir), &out, &err));
+    EXPECT_NE(err.find("classic"), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/campaign.json"))
+        << "the refusal must come before the manifest is published";
+    EXPECT_EQ(out.launches, 0u);
+}
+
+TEST(CampaignEndToEnd, SameIdExecutorRefusedByJournalLock)
+{
+    // Two executors sharing an id would share a journal; the journal
+    // flock refuses the second and says how to fix it.
+    clearCampaignDrain();
+    const std::string dir = freshDir("campaign_same_id");
+    const std::vector<PointSpec> specs = expandGrid(e2eGrid());
+    std::filesystem::create_directories(dir);
+    CampaignJournal live;
+    ReplayState replay;
+    std::string err;
+    ASSERT_TRUE(live.open(dir + "/journal-solo.jsonl", specs.size(),
+                          gridFingerprint(specs), &replay, &err))
+        << err;
+
+    ExecutorOutcome out;
+    EXPECT_FALSE(runExecutor(specs, e2eOptions(dir), &out, &err));
+    EXPECT_NE(err.find("--executor-id"), std::string::npos) << err;
+    EXPECT_EQ(out.launches, 0u);
+    live.close();
+}
+
 #ifdef __linux__
-// A SIGKILL'd orchestrator gets no chance to run any cleanup path; only
-// the workers' own PR_SET_PDEATHSIG (fleet.cc) can reap them. Fork an
-// orchestrator, wait until its workers heartbeat, SIGKILL it, and
-// verify every checkpoint mtime freezes -- an orphaned worker would
-// keep heartbeating.
-TEST(CampaignEndToEnd, SigkilledOrchestratorLeavesNoOrphanWorkers)
+// A SIGKILL'd executor gets no chance to run any cleanup path; only the
+// workers' own PR_SET_PDEATHSIG (fleet.cc) can reap them. Fork an
+// executor, wait until its workers heartbeat, SIGKILL it, and verify
+// every checkpoint mtime freezes -- an orphaned worker would keep
+// heartbeating.
+TEST(CampaignEndToEnd, SigkilledExecutorLeavesNoOrphanWorkers)
 {
     clearCampaignDrain();
     const std::string dir = freshDir("campaign_orphan");
     GridSpec grid = e2eGrid();
     grid.measure = 500000000;  // effectively unbounded at test scale
     const std::vector<PointSpec> specs = expandGrid(grid);
+    const std::string execDir = dir + "/solo";
 
-    const pid_t orch = fork();
-    ASSERT_GE(orch, 0) << "fork failed";
-    if (orch == 0) {
-        OrchestratorOptions opts = e2eOptions(dir);
+    const pid_t exec = fork();
+    ASSERT_GE(exec, 0) << "fork failed";
+    if (exec == 0) {
+        ExecutorOptions opts = e2eOptions(dir);
         opts.worker.checkpointEvery = 50;  // rapid heartbeats
-        CampaignOutcome out;
+        ExecutorOutcome out;
         std::string err;
-        runCampaign(specs, opts, &out, &err);
+        runExecutor(specs, opts, &out, &err);
         _exit(0);
     }
 
     // Wait for a live heartbeat: point 0's checkpoint mtime must tick.
-    const std::string ckpt0 = pointPaths(dir, specs[0].id).checkpoint;
+    const std::string ckpt0 = pointPaths(execDir, specs[0].id).checkpoint;
     std::uint64_t last = 0;
     bool beating = false;
     const double deadline = monotonicSec() + 30.0;
@@ -638,16 +707,16 @@ TEST(CampaignEndToEnd, SigkilledOrchestratorLeavesNoOrphanWorkers)
     }
     ASSERT_TRUE(beating) << "workers never started heartbeating";
 
-    ASSERT_EQ(kill(orch, SIGKILL), 0);
+    ASSERT_EQ(kill(exec, SIGKILL), 0);
     int status = 0;
-    ASSERT_EQ(waitpid(orch, &status, 0), orch);
+    ASSERT_EQ(waitpid(exec, &status, 0), exec);
 
     // PDEATHSIG delivery is immediate; allow in-flight writes to land,
     // then require every checkpoint mtime to be frozen across a window
     // several heartbeat periods long.
     sleepSec(0.3);
     for (const PointSpec &s : specs) {
-        const std::string ckpt = pointPaths(dir, s.id).checkpoint;
+        const std::string ckpt = pointPaths(execDir, s.id).checkpoint;
         std::uint64_t before = 0;
         const bool existed = fileMtimeNs(ckpt, &before);
         sleepSec(0.7);

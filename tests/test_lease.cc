@@ -3,14 +3,14 @@
  * Multi-executor engine tests: the lease protocol, the deterministic
  * journal merge, and end-to-end executor fleets.
  *
- * The contract under test extends the orchestrator suite's one more
- * level: report.json / report.csv are a pure function of the grid
- * REGARDLESS of executor count, kill schedule, partition timing, or the
- * order journals are merged in. The unit half drives LeaseManager with
+ * The contract under test extends test_campaign.cc's one more level:
+ * report.json / report.csv are a pure function of the grid REGARDLESS
+ * of executor count, kill schedule, partition timing, or the order
+ * journals are merged in. The unit half drives LeaseManager with
  * explicit clocks and folds hand-built and fuzzed journal sets in random
- * orders; the end-to-end half joins real executor processes against the
- * same tiny grids the classic tests use and compares report bytes
- * against a classic single-orchestrator golden run.
+ * orders; the end-to-end half joins real executor processes against
+ * tiny grids and compares report bytes against an in-process reference
+ * that runs every point once, without the fleet.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@
 #include "campaign/journal.hh"
 #include "campaign/lease.hh"
 #include "campaign/merge.hh"
-#include "campaign/orchestrator.hh"
 
 #ifdef NORD_CAMPAIGN_POSIX
 #include <sys/wait.h>
@@ -251,6 +250,61 @@ TEST(LeaseProtocol, StalenessAloneFencesBeforeAnyWrite)
         << "a fenced owner wrote a heartbeat";
 }
 
+TEST(LeaseProtocol, StaleRenewalClobberIsReassertedNotObeyed)
+{
+    // An owner suspended between its renewal's verifying read and its
+    // rename wakes up after a steal and renames its OLD token over the
+    // thief's lease. The thief must re-assert (tokens never decrease,
+    // so a lower token is always stale), the stale owner must fence,
+    // and a later thief must not reuse the live token.
+    const std::string dir = freshDir("lease_clobber");
+    const double grace = 0.3;
+    LeaseManager a, b, c;
+    LeaseOptions bOpts = leaseOpts(dir, "exec-b", grace);
+    bOpts.renewSec = 0.02;
+    std::string err;
+    ASSERT_TRUE(a.init(leaseOpts(dir, "exec-a", grace), &err)) << err;
+    ASSERT_TRUE(b.init(bOpts, &err)) << err;
+    ASSERT_TRUE(c.init(leaseOpts(dir, "exec-c", grace), &err)) << err;
+
+    std::uint64_t token = 0;
+    ASSERT_TRUE(a.tryAcquire(0, monotonicSec(), &token));
+    EXPECT_FALSE(b.tryAcquire(0, monotonicSec(), &token));
+    sleepSec(grace + 0.05);
+    ASSERT_TRUE(b.tryAcquire(0, monotonicSec(), &token));
+    ASSERT_EQ(token, 2u);
+    EXPECT_FALSE(c.tryAcquire(0, monotonicSec(), &token))
+        << "c observes token 2 while b holds it";
+
+    // a's late rename lands: token 1 over b's token 2.
+    LeaseInfo stale;
+    stale.shard = 0;
+    stale.token = 1;
+    stale.beat = 9;
+    stale.owner = "exec-a";
+    spew(leasePath(dir, 0), renderLeaseLine(stale));
+
+    sleepSec(0.05);  // past b's renewal period
+    b.renewDue(monotonicSec());
+    EXPECT_FALSE(b.fenced()) << b.fenceReason();
+    EXPECT_TRUE(b.writable(0, monotonicSec()));
+    LeaseInfo file;
+    ASSERT_TRUE(readLeaseFile(leasePath(dir, 0), &file));
+    EXPECT_EQ(file.owner, "exec-b") << "the holder re-asserts its lease";
+    EXPECT_EQ(file.token, 2u);
+
+    a.renewDue(monotonicSec());
+    EXPECT_TRUE(a.fenced()) << "the stale writer fences";
+
+    // Even if the clobber had stuck and b died, a thief that has seen
+    // token 2 steals with token 3, never a second token 2.
+    spew(leasePath(dir, 0), renderLeaseLine(stale));
+    EXPECT_FALSE(c.tryAcquire(0, monotonicSec(), &token));
+    sleepSec(grace + 0.05);
+    ASSERT_TRUE(c.tryAcquire(0, monotonicSec(), &token));
+    EXPECT_EQ(token, 3u);
+}
+
 TEST(LeaseProtocol, TokenSequencePerShardIsMonotonic)
 {
     const std::string dir = freshDir("lease_monotonic");
@@ -427,38 +481,6 @@ TEST(JournalMerge, SameTokenDivergentDoneIsAHardErrorEitherOrder)
     EXPECT_EQ(checked, 6);
 }
 
-TEST(JournalMerge, CanonicalJournalMatchesRotationBytes)
-{
-    // renderCanonicalJournal's contract: the canonical journal of a
-    // drained fleet campaign is byte-equal to what classic journal
-    // rotation would write for the same state -- readable by any
-    // classic tool.
-    const std::string dir = freshDir("merge_canonical");
-    const std::string path = dir + "/journal.jsonl";
-    CampaignJournal j;
-    ReplayState replay;
-    std::string err;
-    ASSERT_TRUE(j.open(path, 3, 0xabcdULL, &replay, &err)) << err;
-    ASSERT_TRUE(j.appendFail(0, FailureClass::kInfra, 12, 0, true,
-                             "tail", "ckpt"));
-    ASSERT_TRUE(j.appendDone(0, "{\"v\":1}"));
-    ASSERT_TRUE(j.appendDone(1, "{\"v\":2}"));
-    QuarantineRecord rec;
-    rec.cls = FailureClass::kGate;
-    rec.exitCode = kExitGateFailure;
-    rec.stderrTail = "gate \"fail\"";
-    ASSERT_TRUE(j.appendQuarantine(2, rec));
-
-    ReplayState state;
-    ASSERT_TRUE(CampaignJournal::replayContent(slurp(path), 3, 0xabcdULL,
-                                               &state, &err))
-        << err;
-    ASSERT_TRUE(j.rotate(state));
-    j.close();
-
-    EXPECT_EQ(renderCanonicalJournal(state), slurp(path));
-}
-
 TEST(JournalMerge, FuzzedJournalSetsMergeOrderIndependently)
 {
     // Satellite: merge determinism under fuzz. Random journal sets --
@@ -621,30 +643,89 @@ fleetOptions(const std::string &outDir, const std::string &execId)
     return o;
 }
 
-/** Classic single-orchestrator golden run for @p specs. */
-CampaignOutcome
-goldenRun(const std::vector<PointSpec> &specs, const std::string &dir)
+/** Report bytes a campaign over some grid must reproduce. */
+struct Reference
 {
-    clearCampaignDrain();
-    OrchestratorOptions opts;
-    opts.outDir = dir;
-    opts.workers = 2;
-    opts.maxFailures = 2;
-    opts.pollIntervalSec = 0.01;
-    opts.worker.checkpointEvery = 100;
-    CampaignOutcome out;
-    std::string err;
-    EXPECT_TRUE(runCampaign(specs, opts, &out, &err)) << err;
-    return out;
+    std::string json;
+    std::string csv;
+};
+
+/**
+ * Reference reports for @p specs without the fleet: every point runs
+ * once, in process, under @p dir, and its result line is folded
+ * straight into the replay state the executor's merge would produce.
+ */
+Reference
+referenceRun(const std::vector<PointSpec> &specs, const std::string &dir)
+{
+    ReplayState state;
+    state.opened = true;
+    state.points = specs.size();
+    state.gridFp = gridFingerprint(specs);
+    WorkerOptions wopts;
+    wopts.checkpointEvery = 100;
+    for (const PointSpec &spec : specs) {
+        const PointPaths paths = pointPaths(dir, spec.id);
+        EXPECT_EQ(runPointWorker(spec, paths, wopts), kExitOk);
+        ReplayPoint &p = state.perPoint[spec.id];
+        p.done = readResultLine(paths.result, &p.resultLine);
+        EXPECT_TRUE(p.done) << "point " << spec.id;
+    }
+    return {renderReportJson(specs, state), renderReportCsv(specs, state)};
 }
 
-TEST(ExecutorEndToEnd, SingleJoinMatchesClassicReportBytes)
+/** Every artifact path in @p dir's provenance.json must exist. */
+void
+expectProvenanceArtifactsExist(const std::string &dir, std::size_t points)
+{
+    std::istringstream lines(slurp(dir + "/provenance.json"));
+    std::string line;
+    std::size_t checked = 0;
+    while (std::getline(lines, line)) {
+        if (line.find("\"artifacts\"") == std::string::npos)
+            continue;
+        for (const char *key : {"result", "stderrLog", "checkpoint"}) {
+            std::string path;
+            ASSERT_TRUE(jsonFieldString(line, key, &path)) << line;
+            EXPECT_TRUE(std::filesystem::exists(path))
+                << "provenance names a missing " << key << ": " << path;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 3 * points);
+}
+
+/** Fork a peer executor @p execId on @p dir; returns its pid. */
+pid_t
+forkPeer(const std::vector<PointSpec> &specs, const std::string &dir,
+         const std::string &execId)
+{
+    const pid_t peer = fork();
+    if (peer == 0) {
+        ExecutorOutcome out;
+        std::string err;
+        const bool ok =
+            runExecutor(specs, fleetOptions(dir, execId), &out, &err);
+        _exit(ok && !out.fenced ? 0 : 1);
+    }
+    return peer;
+}
+
+/** Reap @p peer and require a clean exit. */
+void
+expectPeerOk(pid_t peer)
+{
+    int status = 0;
+    ASSERT_EQ(waitpid(peer, &status, 0), peer);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "peer executor failed";
+}
+
+TEST(ExecutorEndToEnd, SingleExecutorMatchesReferenceBytes)
 {
     clearCampaignDrain();
     const std::vector<PointSpec> specs = expandGrid(fleetGrid());
-    const std::string goldDir = freshDir("exec_single_gold");
-    const CampaignOutcome gold = goldenRun(specs, goldDir);
-    ASSERT_EQ(gold.completed, specs.size());
+    const Reference ref = referenceRun(specs, freshDir("exec_single_ref"));
 
     const std::string dir = freshDir("exec_single");
     ExecutorOutcome out;
@@ -656,12 +737,12 @@ TEST(ExecutorEndToEnd, SingleJoinMatchesClassicReportBytes)
     EXPECT_EQ(out.completed, specs.size());
     EXPECT_TRUE(out.wroteReports);
 
-    EXPECT_EQ(slurp(out.reportJson), slurp(gold.reportJson))
-        << "a joined fleet of one must reproduce the classic report "
-           "byte for byte";
-    EXPECT_EQ(slurp(out.reportCsv), slurp(gold.reportCsv));
+    EXPECT_EQ(slurp(out.reportJson), ref.json)
+        << "a fleet of one must reproduce the reference report byte for "
+           "byte";
+    EXPECT_EQ(slurp(out.reportCsv), ref.csv);
 
-    // The canonical journal is classic-readable.
+    // The canonical journal replays like any journal.
     ReplayState state;
     ASSERT_TRUE(CampaignJournal::replayContent(
         slurp(dir + "/journal.jsonl"), specs.size(),
@@ -677,66 +758,66 @@ TEST(ExecutorEndToEnd, SingleJoinMatchesClassicReportBytes)
                             &err))
         << err;
     EXPECT_EQ(again.launches, 0u);
-    EXPECT_EQ(slurp(again.reportJson), slurp(gold.reportJson));
-
-    // Mode guards, both directions: classic dirs refuse --join, fleet
-    // dirs refuse the classic orchestrator.
-    ExecutorOutcome bad;
-    EXPECT_FALSE(runExecutor(specs, fleetOptions(goldDir, "exec-x"),
-                             &bad, &err));
-    EXPECT_NE(err.find("classic"), std::string::npos) << err;
-    OrchestratorOptions copts;
-    copts.outDir = dir;
-    CampaignOutcome cout;
-    EXPECT_FALSE(runCampaign(specs, copts, &cout, &err));
-    EXPECT_NE(err.find("--join"), std::string::npos) << err;
+    EXPECT_EQ(slurp(again.reportJson), ref.json);
 }
 
 TEST(ExecutorEndToEnd, TwoConcurrentExecutorsProduceIdenticalReports)
 {
     clearCampaignDrain();
     const std::vector<PointSpec> specs = expandGrid(fleetGrid(6));
-    const std::string goldDir = freshDir("exec_pair_gold");
-    const CampaignOutcome gold = goldenRun(specs, goldDir);
-    ASSERT_EQ(gold.completed, specs.size());
+    const Reference ref = referenceRun(specs, freshDir("exec_pair_ref"));
 
     const std::string dir = freshDir("exec_pair");
-    const pid_t peer = fork();
+    const pid_t peer = forkPeer(specs, dir, "exec-b");
     ASSERT_GE(peer, 0);
-    if (peer == 0) {
-        ExecutorOutcome out;
-        std::string err;
-        const bool ok =
-            runExecutor(specs, fleetOptions(dir, "exec-b"), &out, &err);
-        _exit(ok && !out.fenced ? 0 : 1);
-    }
     ExecutorOutcome out;
     std::string err;
     ASSERT_TRUE(
         runExecutor(specs, fleetOptions(dir, "exec-a"), &out, &err))
         << err;
-    int status = 0;
-    ASSERT_EQ(waitpid(peer, &status, 0), peer);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "peer executor failed";
+    expectPeerOk(peer);
     EXPECT_FALSE(out.fenced) << out.fenceReason;
 
-    EXPECT_EQ(slurp(dir + "/report.json"), slurp(gold.reportJson))
-        << "two cooperating executors must land on the classic bytes";
-    EXPECT_EQ(slurp(dir + "/report.csv"), slurp(gold.reportCsv));
+    EXPECT_EQ(slurp(dir + "/report.json"), ref.json)
+        << "two cooperating executors must land on the reference bytes";
+    EXPECT_EQ(slurp(dir + "/report.csv"), ref.csv);
+}
+
+TEST(ExecutorEndToEnd, ProvenanceArtifactsExist)
+{
+    // Workers write under <dir>/<execId>/, so provenance must name the
+    // directory of the executor whose journal supplied each terminal
+    // event -- for a fleet of one and for a fleet of two.
+    clearCampaignDrain();
+    const std::vector<PointSpec> specs = expandGrid(fleetGrid());
+    const std::string solo = freshDir("exec_prov_solo");
+    ExecutorOutcome out;
+    std::string err;
+    ASSERT_TRUE(runExecutor(specs, fleetOptions(solo, "exec-solo"), &out,
+                            &err))
+        << err;
+    ASSERT_TRUE(out.wroteReports);
+    expectProvenanceArtifactsExist(solo, specs.size());
+
+    const std::string pair = freshDir("exec_prov_pair");
+    const pid_t peer = forkPeer(specs, pair, "exec-b");
+    ASSERT_GE(peer, 0);
+    ASSERT_TRUE(
+        runExecutor(specs, fleetOptions(pair, "exec-a"), &out, &err))
+        << err;
+    expectPeerOk(peer);
+    expectProvenanceArtifactsExist(pair, specs.size());
 }
 
 TEST(ExecutorEndToEnd, SequentialHandoverDrainsAndResumes)
 {
     clearCampaignDrain();
     const std::vector<PointSpec> specs = expandGrid(fleetGrid());
-    const std::string goldDir = freshDir("exec_handover_gold");
-    const CampaignOutcome gold = goldenRun(specs, goldDir);
-    ASSERT_EQ(gold.completed, specs.size());
+    const Reference ref =
+        referenceRun(specs, freshDir("exec_handover_ref"));
 
     // Executor 1 drains itself after a single launch (test hook): a
     // deterministic stand-in for an operator Ctrl-C mid-campaign.
-    clearCampaignDrain();
     const std::string dir = freshDir("exec_handover");
     ExecutorOptions first = fleetOptions(dir, "exec-first");
     first.drainAfterLaunches = 1;
@@ -756,8 +837,8 @@ TEST(ExecutorEndToEnd, SequentialHandoverDrainsAndResumes)
         << err;
     EXPECT_TRUE(out2.wroteReports);
     EXPECT_EQ(out2.completed, specs.size());
-    EXPECT_EQ(slurp(out2.reportJson), slurp(gold.reportJson));
-    EXPECT_EQ(slurp(out2.reportCsv), slurp(gold.reportCsv));
+    EXPECT_EQ(slurp(out2.reportJson), ref.json);
+    EXPECT_EQ(slurp(out2.reportCsv), ref.csv);
 }
 
 #endif  // NORD_CAMPAIGN_POSIX

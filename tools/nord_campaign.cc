@@ -6,25 +6,29 @@
  * crash-resumable work queue, supervises a fleet of forked workers
  * (heartbeats, per-point hang kills, capped jittered retry backoff,
  * poison-point quarantine) and aggregates the results into
- * report.json / report.csv / provenance.json. SIGKILL the orchestrator
- * at any moment, rerun the same command line, and it resumes from the
- * journal to a byte-identical report. See DESIGN.md section 5.9.
+ * report.json / report.csv / provenance.json.
  *
- * With --join, any number of nord-campaign processes (same host or
- * different machines over a shared filesystem) cooperatively drain the
- * SAME campaign directory: work is claimed through per-shard lease
- * files with monotonic fencing tokens, an executor that loses its
- * lease self-fences and exits kExitLeaseLost, and a deterministic
- * merge of the per-executor journals keeps report.json / report.csv
- * byte-identical regardless of fleet membership history. See DESIGN.md
- * section 5.10.
+ * Every run is one executor of the campaign in --out DIR (DESIGN.md
+ * section 5.9). Running the same command in another terminal, or on
+ * another machine over a shared filesystem, joins that campaign: work
+ * is claimed through per-shard lease files with monotonic fencing
+ * tokens, an executor that loses its lease self-fences and exits
+ * kExitLeaseLost, and a deterministic merge of the per-executor
+ * journals keeps report.json / report.csv byte-identical regardless of
+ * fleet membership history. SIGKILL an executor at any moment, rerun
+ * the same command line, and it resumes from its journal and its
+ * workers' checkpoints to a byte-identical report.
  *
  * Exit codes follow the campaign taxonomy (src/campaign/exit_codes.hh):
- * 0 when every point completed, 10 when any point was quarantined, 12
- * on orchestration failure, 13 when drained by SIGINT/SIGTERM, 14 when
- * this executor lost a shard lease and self-fenced.
+ * 0 when every point completed, 10 when any point was quarantined, 11
+ * on a bad command line, 12 on orchestration failure, 13 when drained
+ * by SIGINT/SIGTERM, 14 when this executor lost a shard lease and
+ * self-fenced.
  */
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +39,6 @@
 #include "campaign/campaign_point.hh"
 #include "campaign/executor.hh"
 #include "campaign/exit_codes.hh"
-#include "campaign/orchestrator.hh"
 #include "verify/static/config_registry.hh"
 
 namespace {
@@ -50,12 +53,12 @@ usage()
         "usage: nord-campaign --out DIR [grid options] [supervision "
         "options]\n"
         "\n"
-        "Runs (or resumes) a crash-resumable simulation campaign: the\n"
-        "grid is expanded into a journaled work queue, each point runs\n"
-        "as a supervised, checkpointing worker process, failures retry\n"
-        "with capped jittered backoff, and deterministic failures are\n"
-        "quarantined as poison with diagnostics. Rerunning the same\n"
-        "command resumes from the journal and reproduces the report\n"
+        "Runs (or resumes, or joins) a crash-resumable simulation\n"
+        "campaign: the grid is expanded into a journaled work queue,\n"
+        "each point runs as a supervised, checkpointing worker process,\n"
+        "failures retry with capped jittered backoff, and deterministic\n"
+        "failures are quarantined as poison with diagnostics. Rerunning\n"
+        "the same command resumes and reproduces the report\n"
         "byte-for-byte.\n"
         "\n"
         "grid options:\n"
@@ -76,7 +79,18 @@ usage()
         "                       fails deterministically and quarantines\n"
         "\n"
         "supervision options:\n"
-        "  --out DIR            journal, checkpoints and reports (required)\n"
+        "  --out DIR            campaign directory: journals, checkpoints\n"
+        "                       and reports (required). Run the same\n"
+        "                       command in N terminals (or on N machines\n"
+        "                       over a shared filesystem) to drain the\n"
+        "                       grid cooperatively: work is claimed\n"
+        "                       shard-by-shard via lease files with\n"
+        "                       fencing tokens, every executor appends to\n"
+        "                       its own journal, and a deterministic merge\n"
+        "                       yields the same report bytes\n"
+        "  --executor-id ID     executor id (default: the hostname; a\n"
+        "                       second executor on the same host needs\n"
+        "                       its own)\n"
         "  --workers N          concurrent workers (default 2)\n"
         "  --max-failures K     counted failures before quarantine\n"
         "                       (default 3)\n"
@@ -85,27 +99,12 @@ usage()
         "                       (default 500)\n"
         "  --backoff-initial S  first retry delay (default 0.25)\n"
         "  --backoff-max S      retry delay cap (default 30)\n"
-        "  --rotate-events N    journal compaction threshold (default\n"
-        "                       4096)\n"
-        "\n"
-        "multi-executor mode:\n"
-        "  --join DIR           join (or start) the shared campaign in\n"
-        "                       DIR: work is claimed shard-by-shard via\n"
-        "                       lease files with fencing tokens, every\n"
-        "                       executor appends to its own journal, and\n"
-        "                       a deterministic merge yields the same\n"
-        "                       report bytes as a single-executor run.\n"
-        "                       Run the same command in N terminals (or\n"
-        "                       on N machines over a shared filesystem)\n"
-        "                       to drain the grid cooperatively\n"
-        "  --executor-id ID     stable executor id (default: generated\n"
-        "                       from host/pid)\n"
         "  --shards N           shard count, first joiner only (default\n"
-        "                       min(points, 8); later joiners adopt the\n"
-        "                       manifest's)\n"
+        "                       0 = min(points, 8); later joiners adopt\n"
+        "                       the manifest's)\n"
         "  --lease-grace SEC    observed silence before a lease steal,\n"
         "                       first joiner only (default 2)\n"
-        "  --lease-renew SEC    heartbeat period (default grace/8)\n"
+        "  --lease-renew SEC    heartbeat period (default 0 = grace/8)\n"
         "\n"
         "chaos self-test:\n"
         "  --chaos              kill random workers on a seeded schedule;\n"
@@ -116,10 +115,10 @@ usage()
         "  --chaos-interval S   mean seconds between kills (default 0.5)\n"
         "  --chaos-max-kills N  stop killing after N (default unlimited)\n"
         "  --chaos-partition-mean S\n"
-        "                       (--join only) mean seconds between\n"
-        "                       self-partitions: SIGSTOP this executor,\n"
-        "                       let its leases expire, SIGCONT it and\n"
-        "                       watch it self-fence (default off)\n"
+        "                       mean seconds between self-partitions:\n"
+        "                       SIGSTOP this executor, let its leases\n"
+        "                       expire, SIGCONT it and watch it self-fence\n"
+        "                       (default off)\n"
         "  --chaos-partition-duration S\n"
         "                       suspension length (default 0)\n"
         "  --chaos-max-partitions N\n"
@@ -130,11 +129,16 @@ usage()
         "                       (hang-kill test)\n"
         "\n"
         "  --drain-after-launches N\n"
-        "                       (--join only) drain this executor after\n"
-        "                       N worker launches -- deterministic\n"
-        "                       handover testing (default off)\n"
+        "                       drain this executor after N worker\n"
+        "                       launches -- deterministic handover\n"
+        "                       testing (default off)\n"
         "  --list               print the expanded grid and exit\n"
-        "  --help               this text\n");
+        "  --help               this text\n"
+        "\n"
+        "Numeric values must parse completely; a malformed value, or a\n"
+        "non-positive --workers, --max-failures, --hang-timeout,\n"
+        "--checkpoint-every or --lease-grace, exits 11 before any\n"
+        "directory is created.\n");
 }
 
 std::vector<std::string>
@@ -156,14 +160,42 @@ splitList(const std::string &arg)
     return out;
 }
 
+/** Strict unsigned decimal: the whole of @p s, no sign, no overflow. */
+bool
+parseU64(const std::string &s, std::uint64_t *out)
+{
+    if (s.empty() || s[0] < '0' || s[0] > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (errno != 0 || *end != '\0')
+        return false;
+    *out = v;
+    return true;
+}
+
+/** Strict finite double: the whole of @p s must be consumed. */
+bool
+parseDouble(const std::string &s, double *out)
+{
+    if (s.empty())
+        return false;
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(v))
+        return false;
+    *out = v;
+    return true;
+}
+
 bool
 parseU64List(const std::string &arg, std::vector<std::uint64_t> *out)
 {
     out->clear();
     for (const std::string &s : splitList(arg)) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-        if (!end || *end != '\0')
+        std::uint64_t v = 0;
+        if (!parseU64(s, &v))
             return false;
         out->push_back(v);
     }
@@ -175,9 +207,8 @@ parseDoubleList(const std::string &arg, std::vector<double> *out)
 {
     out->clear();
     for (const std::string &s : splitList(arg)) {
-        char *end = nullptr;
-        const double v = std::strtod(s.c_str(), &end);
-        if (!end || *end != '\0')
+        double v = 0.0;
+        if (!parseDouble(s, &v))
             return false;
         out->push_back(v);
     }
@@ -196,16 +227,10 @@ int
 main(int argc, char **argv)
 {
     GridSpec grid;
-    OrchestratorOptions opts;
+    ExecutorOptions opts;
     std::vector<std::uint64_t> poisonIds;
     std::vector<std::uint64_t> hangIds;
     bool list = false;
-    bool join = false;
-    std::string executorId;
-    std::uint64_t shardCount = 0;
-    double leaseGraceSec = 2.0;
-    double leaseRenewSec = 0.0;
-    std::uint64_t drainAfterLaunches = 0;
 
     auto needValue = [&](int i) -> const char * {
         if (i + 1 >= argc) {
@@ -213,6 +238,37 @@ main(int argc, char **argv)
             std::exit(kExitBadConfig);
         }
         return argv[i + 1];
+    };
+    auto badValue = [&](int i) {
+        std::fprintf(stderr, "bad value '%s' for %s (--help)\n",
+                     argv[i + 1], argv[i]);
+        std::exit(kExitBadConfig);
+    };
+    auto u64Value = [&](int i) -> std::uint64_t {
+        std::uint64_t v = 0;
+        if (!parseU64(needValue(i), &v))
+            badValue(i);
+        return v;
+    };
+    auto intValue = [&](int i) -> int {
+        const std::uint64_t v = u64Value(i);
+        if (v > static_cast<std::uint64_t>(INT_MAX))
+            badValue(i);
+        return static_cast<int>(v);
+    };
+    auto doubleValue = [&](int i) -> double {
+        double v = 0.0;
+        if (!parseDouble(needValue(i), &v))
+            badValue(i);
+        return v;
+    };
+    auto u64ListValue = [&](int i, std::vector<std::uint64_t> *out) {
+        if (!parseU64List(needValue(i), out))
+            badValue(i);
+    };
+    auto doubleListValue = [&](int i, std::vector<double> *out) {
+        if (!parseDoubleList(needValue(i), out))
+            badValue(i);
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -222,28 +278,24 @@ main(int argc, char **argv)
             return 0;
         } else if (a == "--list") {
             list = true;
-        } else if (a == "--out") {
+            continue;
+        } else if (a == "--chaos") {
+            opts.chaos.enabled = true;
+            continue;
+        }
+        // Every other option takes a value.
+        if (a == "--out") {
             opts.outDir = needValue(i);
-            ++i;
-        } else if (a == "--join") {
-            join = true;
-            opts.outDir = needValue(i);
-            ++i;
         } else if (a == "--executor-id") {
-            executorId = needValue(i);
-            ++i;
+            opts.execId = needValue(i);
         } else if (a == "--shards") {
-            shardCount = std::strtoull(needValue(i), nullptr, 10);
-            ++i;
+            opts.shards = u64Value(i);
         } else if (a == "--lease-grace") {
-            leaseGraceSec = std::atof(needValue(i));
-            ++i;
+            opts.leaseGraceSec = doubleValue(i);
         } else if (a == "--lease-renew") {
-            leaseRenewSec = std::atof(needValue(i));
-            ++i;
+            opts.leaseRenewSec = doubleValue(i);
         } else if (a == "--drain-after-launches") {
-            drainAfterLaunches = std::strtoull(needValue(i), nullptr, 10);
-            ++i;
+            opts.drainAfterLaunches = u64Value(i);
         } else if (a == "--designs") {
             grid.designs.clear();
             for (const std::string &name : splitList(needValue(i))) {
@@ -255,7 +307,6 @@ main(int argc, char **argv)
                 }
                 grid.designs.push_back(d);
             }
-            ++i;
         } else if (a == "--patterns") {
             grid.patterns.clear();
             for (const std::string &name : splitList(needValue(i))) {
@@ -273,100 +324,76 @@ main(int argc, char **argv)
                     return kExitBadConfig;
                 }
             }
-            ++i;
         } else if (a == "--parsec") {
             grid.parsec = splitList(needValue(i));
-            ++i;
         } else if (a == "--rates") {
-            if (!parseDoubleList(needValue(i), &grid.rates)) {
-                std::fprintf(stderr, "bad --rates list\n");
-                return kExitBadConfig;
-            }
-            ++i;
+            doubleListValue(i, &grid.rates);
         } else if (a == "--fault-rates") {
-            if (!parseDoubleList(needValue(i), &grid.faultRates)) {
-                std::fprintf(stderr, "bad --fault-rates list\n");
-                return kExitBadConfig;
-            }
-            ++i;
+            doubleListValue(i, &grid.faultRates);
         } else if (a == "--seeds") {
-            if (!parseU64List(needValue(i), &grid.seeds)) {
-                std::fprintf(stderr, "bad --seeds list\n");
-                return kExitBadConfig;
-            }
-            ++i;
+            u64ListValue(i, &grid.seeds);
         } else if (a == "--rows") {
-            grid.rows = std::atoi(needValue(i));
-            ++i;
+            grid.rows = intValue(i);
         } else if (a == "--cols") {
-            grid.cols = std::atoi(needValue(i));
-            ++i;
+            grid.cols = intValue(i);
         } else if (a == "--cycles") {
-            grid.measure =
-                static_cast<Cycle>(std::strtoull(needValue(i), nullptr,
-                                                 10));
-            ++i;
+            grid.measure = static_cast<Cycle>(u64Value(i));
         } else if (a == "--min-delivered") {
-            grid.minDelivered = std::atof(needValue(i));
-            ++i;
+            grid.minDelivered = doubleValue(i);
         } else if (a == "--workers") {
-            opts.workers = std::atoi(needValue(i));
-            ++i;
+            opts.workers = intValue(i);
         } else if (a == "--max-failures") {
-            opts.maxFailures = std::atoi(needValue(i));
-            ++i;
+            opts.maxFailures = intValue(i);
         } else if (a == "--hang-timeout") {
-            opts.hangTimeoutSec = std::atof(needValue(i));
-            ++i;
+            opts.hangTimeoutSec = doubleValue(i);
         } else if (a == "--checkpoint-every") {
-            opts.worker.checkpointEvery =
-                static_cast<Cycle>(std::strtoull(needValue(i), nullptr,
-                                                 10));
-            ++i;
+            opts.worker.checkpointEvery = static_cast<Cycle>(u64Value(i));
         } else if (a == "--backoff-initial") {
-            opts.backoff.initialSec = std::atof(needValue(i));
-            ++i;
+            opts.backoff.initialSec = doubleValue(i);
         } else if (a == "--backoff-max") {
-            opts.backoff.maxSec = std::atof(needValue(i));
-            ++i;
-        } else if (a == "--rotate-events") {
-            opts.rotateEvents = std::strtoull(needValue(i), nullptr, 10);
-            ++i;
-        } else if (a == "--chaos") {
-            opts.chaos.enabled = true;
+            opts.backoff.maxSec = doubleValue(i);
         } else if (a == "--chaos-seed") {
-            opts.chaos.seed = std::strtoull(needValue(i), nullptr, 10);
-            ++i;
+            opts.chaos.seed = u64Value(i);
         } else if (a == "--chaos-interval") {
-            opts.chaos.meanIntervalSec = std::atof(needValue(i));
-            ++i;
+            opts.chaos.meanIntervalSec = doubleValue(i);
         } else if (a == "--chaos-max-kills") {
-            opts.chaos.maxKills = std::atoi(needValue(i));
-            ++i;
+            opts.chaos.maxKills = intValue(i);
         } else if (a == "--chaos-partition-mean") {
-            opts.chaos.partitionMeanSec = std::atof(needValue(i));
-            ++i;
+            opts.chaos.partitionMeanSec = doubleValue(i);
         } else if (a == "--chaos-partition-duration") {
-            opts.chaos.partitionDurationSec = std::atof(needValue(i));
-            ++i;
+            opts.chaos.partitionDurationSec = doubleValue(i);
         } else if (a == "--chaos-max-partitions") {
-            opts.chaos.maxPartitions = std::atoi(needValue(i));
-            ++i;
+            opts.chaos.maxPartitions = intValue(i);
         } else if (a == "--poison-points") {
-            if (!parseU64List(needValue(i), &poisonIds)) {
-                std::fprintf(stderr, "bad --poison-points list\n");
-                return kExitBadConfig;
-            }
-            ++i;
+            u64ListValue(i, &poisonIds);
         } else if (a == "--hang-points") {
-            if (!parseU64List(needValue(i), &hangIds)) {
-                std::fprintf(stderr, "bad --hang-points list\n");
-                return kExitBadConfig;
-            }
-            ++i;
+            u64ListValue(i, &hangIds);
         } else {
             std::fprintf(stderr, "unknown option '%s' (--help)\n",
                          a.c_str());
+            return kExitBadConfig;
+        }
+        ++i;
+    }
+
+    // Out-of-range values that parse: a zero worker count or hang
+    // timeout would silently wedge or quarantine the whole grid. (0 is
+    // the documented "auto" for --shards and --lease-renew.)
+    const struct
+    {
+        const char *flag;
+        bool ok;
+    } ranges[] = {
+        {"--workers", opts.workers > 0},
+        {"--max-failures", opts.maxFailures > 0},
+        {"--hang-timeout", opts.hangTimeoutSec > 0.0},
+        {"--checkpoint-every", opts.worker.checkpointEvery > 0},
+        {"--lease-grace", opts.leaseGraceSec > 0.0},
+        {"--lease-renew", opts.leaseRenewSec >= 0.0},
+    };
+    for (const auto &r : ranges) {
+        if (!r.ok) {
+            std::fprintf(stderr, "%s is out of range (--help)\n", r.flag);
             return kExitBadConfig;
         }
     }
@@ -387,8 +414,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (opts.outDir.empty()) {
-        std::fprintf(stderr, "--out DIR or --join DIR is required "
-                             "(--help)\n");
+        std::fprintf(stderr, "--out DIR is required (--help)\n");
         return kExitBadConfig;
     }
     if (specs.empty()) {
@@ -414,83 +440,36 @@ main(int argc, char **argv)
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
-    if (join) {
-        ExecutorOptions eopts;
-        eopts.outDir = opts.outDir;
-        eopts.execId = executorId;
-        eopts.shards = shardCount;
-        eopts.leaseGraceSec = leaseGraceSec;
-        eopts.leaseRenewSec = leaseRenewSec;
-        eopts.workers = opts.workers;
-        eopts.maxFailures = opts.maxFailures;
-        eopts.hangTimeoutSec = opts.hangTimeoutSec;
-        eopts.pollIntervalSec = opts.pollIntervalSec;
-        eopts.backoff = opts.backoff;
-        eopts.worker = opts.worker;
-        eopts.chaos = opts.chaos;
-        eopts.drainAfterLaunches = drainAfterLaunches;
-
-        ExecutorOutcome eout;
-        std::string eerr;
-        if (!runExecutor(specs, eopts, &eout, &eerr)) {
-            std::fprintf(stderr, "campaign executor failed: %s\n",
-                         eerr.c_str());
-            return kExitInfraFailure;
-        }
-        std::printf("nord-campaign[%s]: completed %llu, quarantined "
-                    "%llu, missing %llu (launched %llu, %llu chaos "
-                    "kill(s), %llu partition(s), %llu stale commit(s) "
-                    "dropped)\n",
-                    eout.execId.c_str(),
-                    static_cast<unsigned long long>(eout.completed),
-                    static_cast<unsigned long long>(eout.quarantined),
-                    static_cast<unsigned long long>(eout.missing),
-                    static_cast<unsigned long long>(eout.launches),
-                    static_cast<unsigned long long>(eout.chaosKills),
-                    static_cast<unsigned long long>(eout.partitions),
-                    static_cast<unsigned long long>(eout.staleDropped));
-        if (eout.fenced) {
-            std::fprintf(stderr,
-                         "nord-campaign[%s]: lease lost (%s); the shard "
-                         "is retried by its new owner\n",
-                         eout.execId.c_str(), eout.fenceReason.c_str());
-            return kExitLeaseLost;
-        }
-        if (eout.interrupted) {
-            std::printf("nord-campaign: drained by signal; rerun the "
-                        "same command to resume\n");
-            return kExitInterrupted;
-        }
-        if (eout.wroteReports)
-            std::printf("nord-campaign: report %s\n",
-                        eout.reportJson.c_str());
-        return eout.quarantined > 0 ? kExitGateFailure : kExitOk;
-    }
-
-    std::printf("nord-campaign: %zu points, %d workers, journal %s\n",
-                specs.size(), opts.workers,
-                (opts.outDir + "/journal.jsonl").c_str());
-
-    CampaignOutcome outcome;
+    ExecutorOutcome out;
     std::string err;
-    if (!runCampaign(specs, opts, &outcome, &err)) {
+    if (!runExecutor(specs, opts, &out, &err)) {
         std::fprintf(stderr, "campaign failed: %s\n", err.c_str());
         return kExitInfraFailure;
     }
-
-    std::printf("nord-campaign: completed %llu, quarantined %llu, "
-                "missing %llu (launched %llu worker(s), %llu chaos "
-                "kill(s))\n",
-                static_cast<unsigned long long>(outcome.completed),
-                static_cast<unsigned long long>(outcome.quarantined),
-                static_cast<unsigned long long>(outcome.missing),
-                static_cast<unsigned long long>(outcome.launches),
-                static_cast<unsigned long long>(outcome.chaosKills));
-    if (outcome.interrupted) {
+    std::printf("nord-campaign[%s]: completed %llu, quarantined %llu, "
+                "missing %llu (launched %llu, %llu chaos kill(s), %llu "
+                "partition(s), %llu stale commit(s) dropped)\n",
+                out.execId.c_str(),
+                static_cast<unsigned long long>(out.completed),
+                static_cast<unsigned long long>(out.quarantined),
+                static_cast<unsigned long long>(out.missing),
+                static_cast<unsigned long long>(out.launches),
+                static_cast<unsigned long long>(out.chaosKills),
+                static_cast<unsigned long long>(out.partitions),
+                static_cast<unsigned long long>(out.staleDropped));
+    if (out.fenced) {
+        std::fprintf(stderr,
+                     "nord-campaign[%s]: lease lost (%s); the shard is "
+                     "retried by its new owner\n",
+                     out.execId.c_str(), out.fenceReason.c_str());
+        return kExitLeaseLost;
+    }
+    if (out.interrupted) {
         std::printf("nord-campaign: drained by signal; rerun the same "
                     "command to resume\n");
         return kExitInterrupted;
     }
-    std::printf("nord-campaign: report %s\n", outcome.reportJson.c_str());
-    return outcome.quarantined > 0 ? kExitGateFailure : kExitOk;
+    if (out.wroteReports)
+        std::printf("nord-campaign: report %s\n", out.reportJson.c_str());
+    return out.quarantined > 0 ? kExitGateFailure : kExitOk;
 }
