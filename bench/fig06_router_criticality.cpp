@@ -2,7 +2,9 @@
  * @file
  * Figure 6 reproduction: impact of the number of powered-on routers on
  * average node-to-node distance and per-hop latency, via the off-line
- * Floyd-Warshall program of Section 4.4.
+ * all-pairs shortest-path program of Section 4.4 (the paper's
+ * Floyd-Warshall, computed here in O(k*n) per candidate set; see
+ * topology/criticality.hh).
  *
  * Paper anchors: distance falls from ~8 hops (ring only) towards the
  * all-on mesh average (2.67 for 4x4) while per-hop latency rises from the
@@ -38,7 +40,7 @@ main()
     const int knee = CriticalityAnalyzer::kneePoint(sweep);
     std::printf("\nknee: %d routers (paper: 6)\n", knee);
     std::printf("performance-centric set:");
-    for (NodeId r : analyzer.performanceCentricSet(knee))
+    for (NodeId r : sweep[knee].poweredOn)
         std::printf(" %d", r);
     std::printf("\n(paper's set {4,5,6,7,13,14} assumes the paper's ring "
                 "construction;\n ours differs but the knee and curve "

@@ -29,7 +29,7 @@ BM_SimulateDesign(benchmark::State &state)
 }
 
 void
-BM_FloydWarshallAnalyze(benchmark::State &state)
+BM_CriticalityAnalyze(benchmark::State &state)
 {
     using namespace nord;
     MeshTopology mesh(static_cast<int>(state.range(0)),
@@ -48,6 +48,6 @@ BM_FloydWarshallAnalyze(benchmark::State &state)
 BENCHMARK(BM_SimulateDesign)
     ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FloydWarshallAnalyze)->Arg(4)->Arg(8);
+BENCHMARK(BM_CriticalityAnalyze)->Arg(4)->Arg(8);
 
 BENCHMARK_MAIN();

@@ -9,13 +9,19 @@
  * This is the end-to-end number the perf gate watches: a regression
  * anywhere in the stack (kernel walk, flit storage, fault hooks,
  * audit sweeps, serialization) lands here.
+ *
+ * It also times one cold NoRD NocSystem construction at 8x8 and at
+ * 12x12 (criticality cache cleared first), i.e. the criticality sweep
+ * plus the steering table and network build a fresh process pays.
  */
 
 #include "perf_util.hh"
 
 #include <cstdio>
+#include <string>
 
 #include "network/noc_system.hh"
+#include "topology/criticality.hh"
 #include "traffic/synthetic_traffic.hh"
 
 namespace nord {
@@ -50,6 +56,18 @@ campaignPoint(Cycle cycles, const std::string &ckptPath)
     return sys.stats().flitsInjected();
 }
 
+/** Build one NoRD network from a cold criticality cache. */
+void
+constructColdNord(int rows, int cols)
+{
+    NocConfig cfg;
+    cfg.rows = rows;
+    cfg.cols = cols;
+    cfg.design = PgDesign::kNord;
+    CriticalityCache::instance().clear();
+    NocSystem sys(cfg);
+}
+
 }  // namespace
 }  // namespace nord
 
@@ -70,6 +88,20 @@ main()
     report.addThroughput("campaign_point", s,
                          static_cast<double>(cycles),
                          static_cast<double>(flits));
+
+    // Constructions per second (higher is better, like every *_per_sec
+    // metric). A cold 12x12 construction takes about a second, so cap
+    // its repetitions.
+    for (int size : {8, 12}) {
+        RepeatOptions opts;
+        if (size > 8)
+            opts.maxReps = opts.minReps;
+        const Sample c =
+            measureSteady([&] { constructColdNord(size, size); }, opts);
+        const std::string shape =
+            std::to_string(size) + "x" + std::to_string(size);
+        report.add("construct_nord_" + shape + "_per_sec", 1.0 / c.seconds);
+    }
 
     std::remove(ckpt.c_str());
     return report.write(outPath("BENCH_campaign.json")) ? 0 : 1;

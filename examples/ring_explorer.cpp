@@ -40,7 +40,7 @@ main(int argc, char **argv)
                     ring.crossesDateline(n) ? "  <- dateline edge" : "");
     }
 
-    if (mesh.numNodes() <= 36) {
+    if (mesh.numNodes() <= 144) {
         CriticalityAnalyzer analyzer(mesh, ring);
         auto sweep = analyzer.greedySweep();
         const int knee = CriticalityAnalyzer::kneePoint(sweep);

@@ -92,7 +92,7 @@ struct VerifyConfig
 };
 
 /**
- * Performance knobs (see bench/perf_* and DESIGN.md section 5.11).
+ * Performance knobs (see bench/perf_* and DESIGN.md section 5.10).
  *
  * Both are semantics-preserving: tests/test_perf_invariance.cc proves
  * per-cycle stateHash() bit-identity across every setting, and neither
@@ -178,7 +178,8 @@ struct NocConfig
 
     /**
      * Number of performance-centric routers. Negative means "use the
-     * Floyd-Warshall knee" (6 for the paper's 4x4 mesh).
+     * knee of the greedy criticality sweep" (6 for the paper's 4x4 mesh;
+     * see topology/criticality.hh). At most numNodes().
      */
     int nordPerfCentricCount = -1;
 

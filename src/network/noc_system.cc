@@ -166,9 +166,9 @@ NocSystem::buildControllers()
 {
     const int n = config_.numNodes();
     if (config_.design == PgDesign::kNord) {
-        // The greedy Floyd-Warshall sweep is deterministic per mesh
-        // shape; the process-wide CriticalityCache shares it across
-        // NocSystem instances (benches construct many networks).
+        // The greedy criticality sweep is deterministic per mesh shape;
+        // the process-wide CriticalityCache shares it across NocSystem
+        // instances (benches construct many networks).
         CriticalityCache &cache = CriticalityCache::instance();
         int count = config_.nordPerfCentricCount;
         if (count < 0)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Floyd-Warshall router-criticality analysis.
+ * Router-criticality analysis: two-queue Dijkstra from the powered-on
+ * routers, ring-chain compression for the gated-off ones.
  */
 
 #include "topology/criticality.hh"
@@ -13,169 +14,264 @@
 namespace nord {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
+
+constexpr std::uint64_t kUnreached =
+    std::numeric_limits<std::uint64_t>::max();
+
+/** Largest mesh whose packed row sums stay exact (see Cost). */
+constexpr int kMaxNodes = 1 << 14;
+
+/** Packed cost of one hop entering a router of @p cycles latency. */
+constexpr std::uint64_t
+hopCost(int cycles)
+{
+    return (static_cast<std::uint64_t>(cycles) << 32) | 1u;
 }
+
+constexpr std::int64_t
+cyclesOf(std::uint64_t cost)
+{
+    return static_cast<std::int64_t>(cost >> 32);
+}
+
+constexpr std::int64_t
+hopsOf(std::uint64_t cost)
+{
+    return static_cast<std::int64_t>(cost & 0xffffffffu);
+}
+
+}  // namespace
 
 CriticalityAnalyzer::CriticalityAnalyzer(const MeshTopology &mesh,
                                          const BypassRing &ring,
                                          int onRouterHopCycles,
                                          int offRouterHopCycles)
-    : mesh_(mesh), ring_(ring),
+    : mesh_(mesh),
       onHopCycles_(onRouterHopCycles),
-      offHopCycles_(offRouterHopCycles)
+      offHopCycles_(offRouterHopCycles),
+      links_(static_cast<size_t>(mesh.numNodes()))
+{
+    NORD_ASSERT(mesh.numNodes() <= kMaxNodes,
+                "criticality analysis supports at most %d routers",
+                kMaxNodes);
+    for (NodeId x = 0; x < mesh.numNodes(); ++x) {
+        for (int d = 0; d < kNumMeshDirs; ++d)
+            links_[x].mesh[d] = mesh.neighbor(x, indexDir(d));
+        links_[x].succ = ring.successor(x);
+        links_[x].pred = ring.predecessor(x);
+    }
+}
+
+CriticalityAnalyzer::Scratch::Scratch(int n)
+    : cost(static_cast<size_t>(n)), queueOn(static_cast<size_t>(n)),
+      queueOff(static_cast<size_t>(n))
 {
 }
 
-void
-CriticalityAnalyzer::shortestPaths(const std::vector<bool> &poweredOn,
-                                   std::vector<double> &distHops,
-                                   std::vector<double> &distCycles) const
+CriticalityAnalyzer::Cost
+CriticalityAnalyzer::search(NodeId src, const std::vector<std::uint8_t> &on,
+                            Scratch &s) const
 {
-    const int n = mesh_.numNodes();
-    NORD_ASSERT(static_cast<int>(poweredOn.size()) == n,
-                "poweredOn size %zu != %d", poweredOn.size(), n);
-    distHops.assign(static_cast<size_t>(n) * n, kInf);
-    distCycles.assign(static_cast<size_t>(n) * n, kInf);
-    for (int i = 0; i < n; ++i) {
-        distHops[static_cast<size_t>(i) * n + i] = 0.0;
-        distCycles[static_cast<size_t>(i) * n + i] = 0.0;
-    }
-
     // Edge x -> y exists when x can hand a flit to y. Cost is charged for
     // traversing y (the hop's pipeline) -- consistent for whole paths since
-    // the source NI injects directly into x's pipeline.
-    auto addEdge = [&](NodeId x, NodeId y) {
-        double hopCost = poweredOn[y] ? onHopCycles_ : offHopCycles_;
-        distHops[static_cast<size_t>(x) * n + y] = 1.0;
-        distCycles[static_cast<size_t>(x) * n + y] = hopCost;
-    };
-
-    for (NodeId x = 0; x < n; ++x) {
-        if (!poweredOn[x]) {
-            // Gated-off: only the ring edge out of the NI bypass.
-            addEdge(x, ring_.successor(x));
-            continue;
-        }
-        for (int d = 0; d < kNumMeshDirs; ++d) {
-            NodeId y = mesh_.neighbor(x, indexDir(d));
-            if (y == kInvalidNode)
-                continue;
-            if (poweredOn[y] || ring_.predecessor(y) == x) {
-                // Into an on router: always allowed. Into an off router:
-                // only via its Bypass Inport (we must be its ring
-                // predecessor).
-                addEdge(x, y);
-            }
-        }
-    }
-
-    // Floyd-Warshall on cycles; hops follow the same relaxations.
-    for (int k = 0; k < n; ++k) {
-        for (int i = 0; i < n; ++i) {
-            const size_t ik = static_cast<size_t>(i) * n + k;
-            if (distCycles[ik] == kInf)
-                continue;
-            for (int j = 0; j < n; ++j) {
-                const size_t kj = static_cast<size_t>(k) * n + j;
-                const size_t ij = static_cast<size_t>(i) * n + j;
-                double cand = distCycles[ik] + distCycles[kj];
-                if (cand < distCycles[ij]) {
-                    distCycles[ij] = cand;
-                    distHops[ij] = distHops[ik] + distHops[kj];
+    // the source NI injects directly into x's pipeline. Because the cost
+    // depends only on y, each queue receives costs in the order routers
+    // are settled, so both stay sorted and every router is settled at its
+    // first discovery. Raw pointers keep unoptimized builds usable.
+    const Cost onStep = hopCost(onHopCycles_);
+    const Cost offStep = hopCost(offHopCycles_);
+    const std::uint8_t *isOn = on.data();
+    const Links *links = links_.data();
+    Cost *cost = s.cost.data();
+    NodeId *queueOn = s.queueOn.data();
+    NodeId *queueOff = s.queueOff.data();
+    std::fill(s.cost.begin(), s.cost.end(), kUnreached);
+    cost[src] = 0;
+    std::size_t onHead = 0, onTail = 0, offHead = 0, offTail = 0;
+    int settled = 0;
+    Cost rowSum = 0;
+    for (NodeId x = src;;) {
+        ++settled;
+        const Cost cx = cost[x];
+        rowSum += cx;
+        const Links &l = links[x];
+        if (isOn[x]) {
+            // Into an on router: always allowed. Into an off router: only
+            // via its Bypass Inport (we must be its ring predecessor).
+            for (NodeId y : l.mesh) {
+                if (y == kInvalidNode || cost[y] != kUnreached)
+                    continue;
+                if (isOn[y]) {
+                    cost[y] = cx + onStep;
+                    queueOn[onTail++] = y;
+                } else if (links[y].pred == x) {
+                    cost[y] = cx + offStep;
+                    queueOff[offTail++] = y;
                 }
             }
+        } else if (cost[l.succ] == kUnreached) {
+            // Gated-off: only the ring edge out of the NI bypass.
+            const NodeId y = l.succ;
+            if (isOn[y]) {
+                cost[y] = cx + onStep;
+                queueOn[onTail++] = y;
+            } else {
+                cost[y] = cx + offStep;
+                queueOff[offTail++] = y;
+            }
+        }
+        const bool haveOn = onHead < onTail;
+        const bool haveOff = offHead < offTail;
+        if (haveOn &&
+            (!haveOff || cost[queueOn[onHead]] <= cost[queueOff[offHead]]))
+            x = queueOn[onHead++];
+        else if (haveOff)
+            x = queueOff[offHead++];
+        else
+            break;
+    }
+    NORD_ASSERT(settled == mesh_.numNodes(),
+                "network disconnected: %d of %d routers reachable from %d",
+                settled, mesh_.numNodes(), src);
+    return rowSum;
+}
+
+CriticalityAnalyzer::PathSums
+CriticalityAnalyzer::pathSums(const std::vector<std::uint8_t> &on,
+                              Scratch &s) const
+{
+    const int n = mesh_.numNodes();
+    const Cost onStep = hopCost(onHopCycles_);
+    const Cost offStep = hopCost(offHopCycles_);
+    PathSums sums;
+    auto add = [&sums](Cost row) {
+        sums.hops += hopsOf(row);
+        sums.cycles += cyclesOf(row);
+    };
+
+    bool anyOn = false;
+    for (NodeId u = 0; u < n; ++u) {
+        if (!on[u])
+            continue;
+        anyOn = true;
+        const Cost row = search(u, on, s);
+        add(row);
+
+        // The off routers whose forced ring chain ends at u, nearest
+        // first. The m-th one reaches the chain routers ahead of it after
+        // t = 1..m-1 bypass hops, u after the prefix entry = (m-1) bypass
+        // hops + u's pipeline, and every other router j in entry +
+        // cost(u, j). chainSum holds cost(u, .) of the m chain routers.
+        Cost ahead = 0;
+        Cost entry = onStep;
+        Cost chainSum = 0;
+        NodeId c = links_[u].pred;
+        for (Cost m = 1; !on[c]; ++m) {
+            chainSum += s.cost[c];
+            add(ahead + (static_cast<Cost>(n) - m) * entry + row - chainSum);
+            ahead += m * offStep;
+            entry += offStep;
+            c = links_[c].pred;
         }
     }
+    if (!anyOn) {
+        // The ring alone: every source reaches the others after
+        // t = 1..n-1 bypass hops.
+        const std::int64_t perSource =
+            static_cast<std::int64_t>(n) * (n - 1) / 2;
+        sums.hops = n * perSource;
+        sums.cycles = sums.hops * offHopCycles_;
+    }
+    return sums;
+}
+
+CriticalityPoint
+CriticalityAnalyzer::point(const std::vector<std::uint8_t> &on,
+                           const PathSums &sums) const
+{
+    const int n = mesh_.numNodes();
+    CriticalityPoint pt;
+    for (NodeId x = 0; x < n; ++x) {
+        if (on[x])
+            pt.poweredOn.push_back(x);
+    }
+    pt.numPoweredOn = static_cast<int>(pt.poweredOn.size());
+    const int pairs = n * (n - 1);
+    pt.avgDistanceHops = static_cast<double>(sums.hops) / pairs;
+    pt.avgPerHopLatency = static_cast<double>(sums.cycles) /
+                          static_cast<double>(sums.hops);
+    return pt;
+}
+
+std::vector<std::uint8_t>
+CriticalityAnalyzer::toBytes(const std::vector<bool> &on) const
+{
+    NORD_ASSERT(static_cast<int>(on.size()) == mesh_.numNodes(),
+                "poweredOn size %zu != %d", on.size(), mesh_.numNodes());
+    return {on.begin(), on.end()};
 }
 
 std::vector<double>
 CriticalityAnalyzer::distanceMatrixCycles(
     const std::vector<bool> &poweredOn) const
 {
-    std::vector<double> hops;
-    std::vector<double> cycles;
-    shortestPaths(poweredOn, hops, cycles);
+    const int n = mesh_.numNodes();
+    const std::vector<std::uint8_t> on = toBytes(poweredOn);
+    Scratch s(n);
+    std::vector<double> cycles(static_cast<size_t>(n) * n);
+    for (NodeId i = 0; i < n; ++i) {
+        search(i, on, s);
+        for (NodeId j = 0; j < n; ++j) {
+            cycles[static_cast<size_t>(i) * n + j] =
+                static_cast<double>(cyclesOf(s.cost[j]));
+        }
+    }
     return cycles;
 }
 
 CriticalityPoint
 CriticalityAnalyzer::analyze(const std::vector<bool> &poweredOn) const
 {
-    const int n = mesh_.numNodes();
-    std::vector<double> hops;
-    std::vector<double> cycles;
-    shortestPaths(poweredOn, hops, cycles);
-
-    double sumHops = 0.0;
-    double sumCycles = 0.0;
-    int pairs = 0;
-    for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
-            if (i == j)
-                continue;
-            const size_t ij = static_cast<size_t>(i) * n + j;
-            NORD_ASSERT(cycles[ij] != kInf,
-                        "network disconnected between %d and %d", i, j);
-            sumHops += hops[ij];
-            sumCycles += cycles[ij];
-            ++pairs;
-        }
-    }
-
-    CriticalityPoint pt;
-    pt.numPoweredOn = static_cast<int>(
-        std::count(poweredOn.begin(), poweredOn.end(), true));
-    pt.avgDistanceHops = sumHops / pairs;
-    pt.avgPerHopLatency = sumCycles / sumHops;
-    for (NodeId x = 0; x < n; ++x) {
-        if (poweredOn[x])
-            pt.poweredOn.push_back(x);
-    }
-    return pt;
+    const std::vector<std::uint8_t> on = toBytes(poweredOn);
+    Scratch s(mesh_.numNodes());
+    return point(on, pathSums(on, s));
 }
 
 std::vector<CriticalityPoint>
 CriticalityAnalyzer::greedySweep() const
 {
     const int n = mesh_.numNodes();
-    std::vector<bool> on(n, false);
+    std::vector<std::uint8_t> on(static_cast<size_t>(n), 0);
+    Scratch s(n);
     std::vector<CriticalityPoint> sweep;
-    sweep.push_back(analyze(on));
+    sweep.reserve(static_cast<size_t>(n) + 1);
+    sweep.push_back(point(on, pathSums(on, s)));
 
+    // Averages share the denominators n*(n-1) and the hop sum, so the
+    // integer sums order candidates exactly as the averages do: fewer
+    // hops, then fewer cycles, then the lowest node id.
     for (int k = 1; k <= n; ++k) {
-        int best = -1;
-        double bestDist = kInf;
-        double bestLat = kInf;
+        NodeId best = kInvalidNode;
+        PathSums bestSums;
         for (NodeId cand = 0; cand < n; ++cand) {
             if (on[cand])
                 continue;
-            on[cand] = true;
-            CriticalityPoint pt = analyze(on);
-            on[cand] = false;
-            if (pt.avgDistanceHops < bestDist ||
-                (pt.avgDistanceHops == bestDist &&
-                 pt.avgPerHopLatency < bestLat)) {
+            on[cand] = 1;
+            const PathSums sums = pathSums(on, s);
+            on[cand] = 0;
+            if (best == kInvalidNode || sums.hops < bestSums.hops ||
+                (sums.hops == bestSums.hops &&
+                 sums.cycles < bestSums.cycles)) {
                 best = cand;
-                bestDist = pt.avgDistanceHops;
-                bestLat = pt.avgPerHopLatency;
+                bestSums = sums;
             }
         }
-        NORD_ASSERT(best >= 0, "greedy sweep found no candidate at k=%d", k);
-        on[best] = true;
-        sweep.push_back(analyze(on));
+        NORD_ASSERT(best != kInvalidNode,
+                    "greedy sweep found no candidate at k=%d", k);
+        on[best] = 1;
+        sweep.push_back(point(on, bestSums));
     }
     return sweep;
-}
-
-std::vector<NodeId>
-CriticalityAnalyzer::performanceCentricSet(int count) const
-{
-    NORD_ASSERT(count >= 0 && count <= mesh_.numNodes(),
-                "bad performance-centric count %d", count);
-    auto sweep = greedySweep();
-    std::vector<NodeId> set = sweep[count].poweredOn;
-    std::sort(set.begin(), set.end());
-    return set;
 }
 
 int
@@ -210,33 +306,35 @@ CriticalityCache::instance()
     return cache;
 }
 
+const CriticalityCache::ShapeSweep &
+CriticalityCache::sweepFor(const MeshTopology &mesh, const BypassRing &ring)
+{
+    auto key = std::make_pair(mesh.rows(), mesh.cols());
+    auto it = sweeps_.find(key);
+    if (it == sweeps_.end()) {
+        ShapeSweep entry;
+        entry.points = CriticalityAnalyzer(mesh, ring).greedySweep();
+        entry.knee = CriticalityAnalyzer::kneePoint(entry.points);
+        it = sweeps_.emplace(key, std::move(entry)).first;
+    }
+    return it->second;
+}
+
 int
 CriticalityCache::knee(const MeshTopology &mesh, const BypassRing &ring)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto key = std::make_pair(mesh.rows(), mesh.cols());
-    auto it = knee_.find(key);
-    if (it == knee_.end()) {
-        CriticalityAnalyzer analyzer(mesh, ring);
-        int knee = CriticalityAnalyzer::kneePoint(analyzer.greedySweep());
-        it = knee_.emplace(key, knee).first;
-    }
-    return it->second;
+    return sweepFor(mesh, ring).knee;
 }
 
 const std::vector<NodeId> &
 CriticalityCache::perfSet(const MeshTopology &mesh, const BypassRing &ring,
                           int count)
 {
+    NORD_ASSERT(count >= 0 && count <= mesh.numNodes(),
+                "bad performance-centric count %d", count);
     std::lock_guard<std::mutex> lock(mu_);
-    auto key = std::make_tuple(mesh.rows(), mesh.cols(), count);
-    auto it = perfSet_.find(key);
-    if (it == perfSet_.end()) {
-        CriticalityAnalyzer analyzer(mesh, ring);
-        it = perfSet_.emplace(key,
-                              analyzer.performanceCentricSet(count)).first;
-    }
-    return it->second;
+    return sweepFor(mesh, ring).points[count].poweredOn;
 }
 
 const std::vector<double> &
@@ -262,8 +360,7 @@ void
 CriticalityCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    knee_.clear();
-    perfSet_.clear();
+    sweeps_.clear();
     steering_.clear();
 }
 
@@ -271,7 +368,7 @@ std::size_t
 CriticalityCache::entries() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return knee_.size() + perfSet_.size() + steering_.size();
+    return sweeps_.size() + steering_.size();
 }
 
 }  // namespace nord

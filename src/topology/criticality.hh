@@ -15,12 +15,35 @@
  * Hop costs model latency: a hop into a powered-on router costs the full
  * pipeline (4 stages + LT), a hop into a gated-off router costs the bypass
  * pipeline (2 stages + LT).
+ *
+ * We compute the same all-pairs shortest paths without Floyd-Warshall,
+ * using two properties of that graph:
+ *
+ *  - a hop's cost depends only on the router it enters, so Dijkstra needs
+ *    no heap: two FIFO queues, one per entry cost, popped smaller front
+ *    first, settle every router on its first discovery -- O(n) per source;
+ *  - a gated-off router has one out-edge (to its ring successor) and one
+ *    in-edge (from its ring predecessor), so an off source walks a forced
+ *    ring chain to the next powered-on router u and then follows u's
+ *    shortest paths. Walking each chain backwards from u with running
+ *    prefix sums gives every off source's distance sums in O(1).
+ *
+ * One powered-on set of k routers thus costs O(k*n) instead of O(n^3),
+ * and the cycle matrix is exactly Floyd-Warshall's. Paths are ranked by
+ * cycles, then by hops, so hop counts are the fewest hops among the
+ * cheapest-in-cycles paths. Floyd-Warshall keeps whichever cheapest path
+ * its relaxation order meets first, which can have more hops on some
+ * power sets; on every greedy-sweep point of the even-row meshes up to
+ * 12x12 the two agree (tests/test_criticality.cc), so the knee and the
+ * performance-centric sets are the paper program's.
  */
 
 #ifndef NORD_TOPOLOGY_CRITICALITY_HH
 #define NORD_TOPOLOGY_CRITICALITY_HH
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -40,7 +63,7 @@ struct CriticalityPoint
     int numPoweredOn = 0;
     double avgDistanceHops = 0.0;   ///< mean node-to-node distance (hops)
     double avgPerHopLatency = 0.0;  ///< mean per-hop latency (cycles)
-    std::vector<NodeId> poweredOn;  ///< the router set analyzed
+    std::vector<NodeId> poweredOn;  ///< the router set analyzed (ascending)
 };
 
 /**
@@ -63,7 +86,7 @@ class CriticalityAnalyzer
 
     /**
      * Average node-to-node distance (hops) and per-hop latency for a given
-     * powered-on set, via Floyd-Warshall over the mixed graph.
+     * powered-on set, over cheapest-in-cycles paths of the mixed graph.
      */
     CriticalityPoint analyze(const std::vector<bool> &poweredOn) const;
 
@@ -78,16 +101,12 @@ class CriticalityAnalyzer
 
     /**
      * Greedy sweep: starting from all routers off, repeatedly power on the
-     * router that minimizes average node-to-node distance (per-hop latency
-     * as tie-break). Returns numNodes()+1 points (k = 0 .. numNodes).
+     * router that minimizes average node-to-node distance (per-hop latency,
+     * then the lowest node id, as tie-breaks). Returns numNodes()+1 points
+     * (k = 0 .. numNodes); point k's poweredOn is the performance-centric
+     * set of size k.
      */
     std::vector<CriticalityPoint> greedySweep() const;
-
-    /**
-     * The performance-centric router set of size @p count: the first
-     * @p count routers chosen by the greedy sweep.
-     */
-    std::vector<NodeId> performanceCentricSet(int count) const;
 
     /**
      * Pick a knee point from a greedy sweep: the smallest k after which
@@ -100,23 +119,69 @@ class CriticalityAnalyzer
 
   private:
     /**
-     * All-pairs shortest distances in hops and in cycles.
-     * dist[i*n+j] is hops, lat[i*n+j] is cycles.
+     * A path cost packed as (cycles << 32 | hops): integer order is the
+     * (cycles, hops) lexicographic order, and sums of one source's row
+     * stay packed without carries.
      */
-    void shortestPaths(const std::vector<bool> &poweredOn,
-                       std::vector<double> &distHops,
-                       std::vector<double> &distCycles) const;
+    using Cost = std::uint64_t;
+
+    /** Integer distance sums over all ordered pairs i != j. */
+    struct PathSums
+    {
+        std::int64_t hops = 0;
+        std::int64_t cycles = 0;
+    };
+
+    /**
+     * A router's mesh neighbors (kInvalidNode off the edge) and ring
+     * neighbors, copied out of the topology for the search loop.
+     */
+    struct Links
+    {
+        std::array<NodeId, kNumMeshDirs> mesh;
+        NodeId succ;
+        NodeId pred;
+    };
+
+    /** Buffers for one search, sized once and reused by every search. */
+    struct Scratch
+    {
+        explicit Scratch(int n);
+        std::vector<Cost> cost;        ///< the last search's row
+        std::vector<NodeId> queueOn;   ///< FIFO of powered-on entries
+        std::vector<NodeId> queueOff;  ///< FIFO of gated-off entries
+    };
+
+    /**
+     * Shortest costs from @p src to every router into @p s.cost; returns
+     * their packed sum.
+     */
+    Cost search(NodeId src, const std::vector<std::uint8_t> &on,
+                Scratch &s) const;
+
+    /** Distance sums of one powered-on set (chain-compressed). */
+    PathSums pathSums(const std::vector<std::uint8_t> &on,
+                      Scratch &s) const;
+
+    /** The Figure 6 point of @p on, whose sums are @p sums. */
+    CriticalityPoint point(const std::vector<std::uint8_t> &on,
+                           const PathSums &sums) const;
+
+    /** @p on as one byte per router, checked against the mesh size. */
+    std::vector<std::uint8_t> toBytes(const std::vector<bool> &on) const;
 
     const MeshTopology &mesh_;
-    const BypassRing &ring_;
     int onHopCycles_;
     int offHopCycles_;
+    std::vector<Links> links_;  ///< per router, indexed by NodeId
 };
 
 /**
  * Process-wide cache of criticality-analysis results, keyed by mesh
- * shape. The greedy Floyd-Warshall sweep is deterministic per shape, so
- * benches and tests that construct many NocSystems share one computation.
+ * shape. The greedy sweep is deterministic per shape, so benches and
+ * tests that construct many NocSystems share one computation: each shape
+ * runs the sweep once, and its knee and every performance-centric set
+ * are read from that one entry.
  *
  * This replaces the anonymous function-local `static std::map` caches
  * that used to live in noc_system.cc and cdg.cc: those were unsynchronized
@@ -138,7 +203,10 @@ class CriticalityCache
     /** Knee point of the greedy sweep for @p mesh's shape. */
     int knee(const MeshTopology &mesh, const BypassRing &ring);
 
-    /** Performance-centric router set of size @p count. */
+    /**
+     * Performance-centric router set of size @p count (ascending): the
+     * first @p count routers the greedy sweep powers on.
+     */
     const std::vector<NodeId> &perfSet(const MeshTopology &mesh,
                                        const BypassRing &ring, int count);
 
@@ -156,12 +224,21 @@ class CriticalityCache
   private:
     CriticalityCache() = default;
 
+    /** One mesh shape's greedy sweep and its knee. */
+    struct ShapeSweep
+    {
+        std::vector<CriticalityPoint> points;
+        int knee = 0;
+    };
+
+    /** The sweep for @p mesh's shape, run on miss; caller holds mu_. */
+    const ShapeSweep &sweepFor(const MeshTopology &mesh,
+                               const BypassRing &ring);
+
     NORD_STATE_EXCLUDE(config, "synchronization primitive, not state")
     mutable std::mutex mu_;
-    NORD_STATE_EXCLUDE(cache, "memoized knee search; recomputed on miss")
-    std::map<std::pair<int, int>, int> knee_;
-    NORD_STATE_EXCLUDE(cache, "memoized perf-centric sets; recomputed on miss")
-    std::map<std::tuple<int, int, int>, std::vector<NodeId>> perfSet_;
+    NORD_STATE_EXCLUDE(cache, "memoized sweeps and knees; recomputed on miss")
+    std::map<std::pair<int, int>, ShapeSweep> sweeps_;
     NORD_STATE_EXCLUDE(cache, "memoized steering weights; recomputed on miss")
     std::map<std::tuple<int, int, int>, std::vector<double>> steering_;
 };

@@ -343,6 +343,24 @@ TEST(NocConfigTest, ValidationCatchesBadSetups)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(NocConfigTest, OversizedPerfCentricCountFailsBeforeAnalysis)
+{
+    // A 10x10 count of 500 must be rejected by validate() itself, before
+    // NocSystem runs the criticality sweep for the shape.
+    NocConfig cfg;
+    cfg.rows = 10;
+    cfg.cols = 10;
+    cfg.design = PgDesign::kNord;
+    cfg.nordPerfCentricCount = 500;
+    EXPECT_EXIT({ cfg.validate(); }, ::testing::ExitedWithCode(1),
+                "nordPerfCentricCount \\(500\\) exceeds the 100 routers");
+    EXPECT_EXIT({ NocSystem sys(cfg); }, ::testing::ExitedWithCode(1),
+                "nordPerfCentricCount");
+
+    cfg.nordPerfCentricCount = 100;  // every router on: legal
+    cfg.validate();
+}
+
 TEST(NocConfigTest, VcClassHelpers)
 {
     NocConfig cfg;  // 4 VCs, 2 escape
