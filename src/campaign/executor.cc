@@ -432,10 +432,7 @@ runExecutor(const std::vector<PointSpec> &specs,
     manifest.points = specs.size();
     manifest.gridFp = gridFp;
     manifest.shards =
-        opts.shards > 0
-            ? opts.shards
-            : std::min<std::uint64_t>(
-                  std::max<std::uint64_t>(1, specs.size()), 8);
+        std::min<std::uint64_t>(std::max<std::uint64_t>(1, specs.size()), 8);
     manifest.graceSec =
         opts.leaseGraceSec > 0.0 ? opts.leaseGraceSec : 2.0;
     if (!establishManifest(opts.outDir, execId, &manifest, err))
@@ -450,7 +447,6 @@ runExecutor(const std::vector<PointSpec> &specs,
     lopts.execId = execId;
     lopts.shards = shards;
     lopts.graceSec = manifest.graceSec;
-    lopts.renewSec = opts.leaseRenewSec;
     LeaseManager leases;
     if (!leases.init(lopts, err))
         return false;

@@ -27,10 +27,10 @@
  *
  *  1. MANIFEST -- the first joiner link(2)s "<outDir>/campaign.json"
  *     into existence, freezing the grid (points, fingerprint), the
- *     shard count and the lease grace period. Later joiners validate
- *     the grid against the manifest and ADOPT its shards and grace --
- *     the self-fencing soundness argument (lease.hh) requires every
- *     executor to use the same grace.
+ *     shard count (min(points, 8)) and the lease grace period. Later
+ *     joiners validate the grid against the manifest and ADOPT its
+ *     shards and grace -- the self-fencing soundness argument (lease.hh)
+ *     requires every executor to use the same grace.
  *  2. SHARDS -- point ids are partitioned statically: shard(id) =
  *     id % shards. An executor may only launch and commit points of
  *     shards whose lease it currently holds (lease.hh), and it stamps
@@ -99,9 +99,7 @@ struct ExecutorOptions
 {
     std::string outDir;    ///< shared campaign directory
     std::string execId;    ///< unique executor id ("" = hostname)
-    std::uint64_t shards = 0;    ///< 0 = auto (first joiner decides)
     double leaseGraceSec = 2.0;  ///< first joiner freezes this
-    double leaseRenewSec = 0.0;  ///< 0 = grace/8
     int workers = 2;             ///< concurrent worker processes
     int maxFailures = 3;         ///< counted failures before quarantine
     double hangTimeoutSec = 30.0;

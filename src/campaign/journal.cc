@@ -37,33 +37,6 @@ setErr(std::string *err, std::string what)
 // --- JSON helpers -------------------------------------------------------
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 jsonUnescape(const std::string &s)
 {
     std::string out;
@@ -588,16 +561,45 @@ CampaignJournal::appendAttempt(std::uint64_t point, int launch,
                       detail::formatString(",\"launch\":%d}", launch));
 }
 
+std::string
+CampaignJournal::doneLine(std::uint64_t point, const std::string &resultLine,
+                          const ShardStamp &stamp)
+{
+    return detail::formatString("{\"event\":\"done\",\"point\":%llu",
+                                static_cast<unsigned long long>(point)) +
+           stampFields(stamp) + ",\"result\":" + resultLine + "}";
+}
+
+std::string
+CampaignJournal::quarantineLine(std::uint64_t point,
+                                const QuarantineRecord &rec,
+                                const ShardStamp &stamp)
+{
+    return detail::formatString(
+               "{\"event\":\"quarantine\",\"point\":%llu",
+               static_cast<unsigned long long>(point)) +
+           stampFields(stamp) +
+           detail::formatString(
+               ",\"class\":\"%s\",\"exit\":%d,\"signal\":%d,\"ckpt\":\"",
+               failureClassName(rec.cls), rec.exitCode, rec.signal) +
+           jsonEscape(rec.ckptPath) + "\",\"stderrTail\":\"" +
+           jsonEscape(rec.stderrTail) + "\"}";
+}
+
+std::string
+CampaignJournal::failsLine(std::uint64_t point, int counted)
+{
+    return detail::formatString(
+        "{\"event\":\"fails\",\"point\":%llu,\"counted\":%d}",
+        static_cast<unsigned long long>(point), counted);
+}
+
 bool
 CampaignJournal::appendDone(std::uint64_t point,
                             const std::string &resultLine,
                             const ShardStamp &stamp)
 {
-    return appendLine(detail::formatString(
-                          "{\"event\":\"done\",\"point\":%llu",
-                          static_cast<unsigned long long>(point)) +
-                      stampFields(stamp) + ",\"result\":" + resultLine +
-                      "}");
+    return appendLine(doneLine(point, resultLine, stamp));
 }
 
 bool
@@ -625,17 +627,7 @@ CampaignJournal::appendQuarantine(std::uint64_t point,
                                   const QuarantineRecord &rec,
                                   const ShardStamp &stamp)
 {
-    return appendLine(detail::formatString(
-                          "{\"event\":\"quarantine\",\"point\":%llu",
-                          static_cast<unsigned long long>(point)) +
-                      stampFields(stamp) +
-                      detail::formatString(
-                          ",\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
-                          "\"ckpt\":\"",
-                          failureClassName(rec.cls), rec.exitCode,
-                          rec.signal) +
-                      jsonEscape(rec.ckptPath) + "\",\"stderrTail\":\"" +
-                      jsonEscape(rec.stderrTail) + "\"}");
+    return appendLine(quarantineLine(point, rec, stamp));
 }
 
 bool

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "campaign/exit_codes.hh"
+#include "common/json.hh"
 
 namespace nord {
 namespace campaign {
@@ -65,10 +66,8 @@ inline constexpr int kJournalFormat = 1;
 // has to understand the writer's flat, known-key output -- but it must
 // never crash on a torn or hand-edited line.
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
-/** Undo jsonEscape (tolerant: bad escapes pass through verbatim). */
+/** Undo jsonEscape (common/json.hh; tolerant: bad escapes pass through
+ *  verbatim). */
 std::string jsonUnescape(const std::string &s);
 
 /** Extract "key":"string" (unescaped). False when absent/malformed. */
@@ -228,9 +227,22 @@ class CampaignJournal
                               std::uint64_t points, std::uint64_t gridFp,
                               ReplayState *replay, std::string *err);
 
-    /** Render the "open" header line (without trailing newline). */
+    // Event renderers (without trailing newline): the append methods and
+    // the canonical journal (merge.hh) both write through these, so the
+    // two dialects differ only in the stamp.
+
+    /** The "open" header line. */
     static std::string openLine(std::uint64_t points,
                                 std::uint64_t gridFp);
+    static std::string doneLine(std::uint64_t point,
+                                const std::string &resultLine,
+                                const ShardStamp &stamp = ShardStamp());
+    static std::string quarantineLine(std::uint64_t point,
+                                      const QuarantineRecord &rec,
+                                      const ShardStamp &stamp =
+                                          ShardStamp());
+    /** Canonical snapshot summary of @p counted prior failures. */
+    static std::string failsLine(std::uint64_t point, int counted);
 
   private:
     bool fail(const std::string &what);

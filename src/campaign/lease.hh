@@ -97,7 +97,8 @@ struct LeaseOptions
     std::string execId;       ///< this executor's unique id
     std::uint64_t shards = 1;
     double graceSec = 2.0;    ///< observed silence before a steal
-    double renewSec = 0.25;   ///< heartbeat period (<< graceSec/2)
+    double renewSec = 0.0;    ///< heartbeat period (<< graceSec/2);
+                              ///< 0 = graceSec / 8
     double settleSec = 0.05;  ///< post-steal read-back delay
 };
 

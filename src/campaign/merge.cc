@@ -22,46 +22,13 @@ setErr(std::string *err, std::string what)
         *err = std::move(what);
 }
 
-/** Snapshot-dialect "fails" line. */
-std::string
-renderFailsLine(std::uint64_t id, int counted)
-{
-    return detail::formatString(
-        "{\"event\":\"fails\",\"point\":%llu,\"counted\":%d}\n",
-        static_cast<unsigned long long>(id), counted);
-}
-
-/** Snapshot-dialect "done" line. */
-std::string
-renderDoneLine(std::uint64_t id, const std::string &resultLine)
-{
-    return detail::formatString(
-               "{\"event\":\"done\",\"point\":%llu,\"result\":",
-               static_cast<unsigned long long>(id)) +
-           resultLine + "}\n";
-}
-
-/** Snapshot-dialect quarantine line. */
-std::string
-renderQuarantineLine(std::uint64_t id, const QuarantineRecord &q)
-{
-    return detail::formatString(
-               "{\"event\":\"quarantine\",\"point\":%llu,"
-               "\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
-               "\"ckpt\":\"",
-               static_cast<unsigned long long>(id),
-               failureClassName(q.cls), q.exitCode, q.signal) +
-           jsonEscape(q.ckptPath) + "\",\"stderrTail\":\"" +
-           jsonEscape(q.stderrTail) + "\"}\n";
-}
-
 /** Canonical bytes of a candidate's terminal event (tie-breaking key). */
 std::string
 terminalBytes(std::uint64_t id, const ReplayPoint &p)
 {
     if (p.done)
-        return renderDoneLine(id, p.resultLine);
-    return renderQuarantineLine(id, p.quarantine);
+        return CampaignJournal::doneLine(id, p.resultLine);
+    return CampaignJournal::quarantineLine(id, p.quarantine);
 }
 
 /** Make candidate @p c (from executor @p source) the winner @p w. */
@@ -196,11 +163,11 @@ renderCanonicalJournal(const ReplayState &merged)
         const std::uint64_t id = kv.first;
         const ReplayPoint &p = kv.second;
         if (p.countedFailures > 0)
-            out += renderFailsLine(id, p.countedFailures);
+            out += CampaignJournal::failsLine(id, p.countedFailures) + "\n";
         if (p.done)
-            out += renderDoneLine(id, p.resultLine);
+            out += CampaignJournal::doneLine(id, p.resultLine) + "\n";
         else if (p.quarantined)
-            out += renderQuarantineLine(id, p.quarantine);
+            out += CampaignJournal::quarantineLine(id, p.quarantine) + "\n";
     }
     return out;
 }

@@ -11,6 +11,7 @@
 #define NORD_NETWORK_NOC_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -269,7 +270,15 @@ struct NocConfig
     /** True when this design power-gates routers at all. */
     bool gatingEnabled() const { return design != PgDesign::kNoPg; }
 
-    /** Abort with a message if the configuration is inconsistent. */
+    /**
+     * Every rule this configuration breaks, one diagnosis each (empty ==
+     * consistent). The single list of config rules: validate() enforces
+     * it and lintConfig() (verify/static/config_lint.hh) reports it.
+     * Cheap -- builds no mesh or ring.
+     */
+    std::vector<std::string> problems() const;
+
+    /** Exit with the first of problems(), if any. */
     void validate() const;
 };
 

@@ -9,6 +9,7 @@
 #include <climits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "sim/clocked.hh"
 
@@ -358,24 +359,6 @@ AccessTracker::undeclaredReads() const
     }
     return out;
 }
-
-namespace {
-
-/** Minimal JSON string escaping (component names are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-}  // namespace
 
 std::string
 AccessTracker::dot() const

@@ -62,16 +62,14 @@ lineText(const std::string &s, int line)
 }
 
 /**
- * True when `// nord-lint-allow(...)` naming @p check (or the blanket
- * alias @p alias, may be null) appears on @p line or the @p span lines
- * above it in the ORIGINAL content (annotations live in comments, which
- * stripCode removes).
+ * True when `// nord-lint-allow(...)` naming @p check appears on @p line
+ * or the two lines above it in the ORIGINAL content (annotations live in
+ * comments, which stripCode removes).
  */
 bool
-allowedAt(const std::string &original, int line, const std::string &check,
-          const char *alias, int span = 2)
+allowedAt(const std::string &original, int line, const std::string &check)
 {
-    for (int l = line; l >= 1 && l >= line - span; --l) {
+    for (int l = line; l >= 1 && l >= line - 2; --l) {
         const std::string text = lineText(original, l);
         const size_t at = text.find("nord-lint-allow(");
         if (at == std::string::npos)
@@ -82,8 +80,6 @@ allowedAt(const std::string &original, int line, const std::string &check,
         const std::string args =
             text.substr(at + 16, close - (at + 16));
         if (args.find(check) != std::string::npos)
-            return true;
-        if (alias && args.find(alias) != std::string::npos)
             return true;
     }
     return false;
@@ -96,7 +92,6 @@ struct Scope
     bool underCommon = false;  ///< src/common/...
     bool isRngWrapper = false; ///< src/common/rng.{hh,cc}
     bool durability = false;   ///< src/ckpt/... or src/campaign/...
-    bool header = false;       ///< *.hh
 };
 
 Scope
@@ -115,7 +110,6 @@ classify(const std::string &path)
     s.underCommon = within("src/common");
     s.isRngWrapper = p.find("src/common/rng.") != std::string::npos;
     s.durability = within("src/ckpt") || within("src/campaign");
-    s.header = p.size() > 3 && p.compare(p.size() - 3, 3, ".hh") == 0;
     return s;
 }
 
@@ -240,7 +234,7 @@ checkStatics(const std::string &path, const std::string &original,
                           "static initialized from getenv(): latches the "
                           "first environment seen and can never be reset "
                           "(use an explicit resettable config object)"};
-            if (!allowedAt(original, line, f.check, nullptr) &&
+            if (!allowedAt(original, line, f.check) &&
                 !whitelisted(f, lineText(original, line), wl))
                 out.push_back(std::move(f));
         }
@@ -253,7 +247,7 @@ checkStatics(const std::string &path, const std::string &original,
                           "global state, a data race once two NocSystems "
                           "run on two threads (own it in a component, or "
                           "whitelist it with a story)"};
-            if (!allowedAt(original, line, f.check, nullptr) &&
+            if (!allowedAt(original, line, f.check) &&
                 !whitelisted(f, lineText(original, line), wl))
                 out.push_back(std::move(f));
         }
@@ -274,7 +268,7 @@ checkEnvReads(const std::string &path, const std::string &original,
         if (!isWordAt(stripped, i, "getenv", 6))
             continue;
         const int line = lineOf(stripped, i);
-        if (allowedAt(original, line, "env-read", nullptr))
+        if (allowedAt(original, line, "env-read"))
             continue;
         out.push_back({path, line, "env-read",
                        "getenv() outside src/common/: environment side "
@@ -317,7 +311,7 @@ checkFlitHeap(const std::string &path, const std::string &original,
                 continue;
             }
             const int line = lineOf(stripped, i);
-            if (allowedAt(original, line, "flit-heap", nullptr))
+            if (allowedAt(original, line, "flit-heap"))
                 continue;
             out.push_back(
                 {path, line, "flit-heap",
@@ -348,7 +342,7 @@ checkStdio(const std::string &path, const std::string &original,
             if (!isWordAt(stripped, i, b.word, b.len))
                 continue;
             const int line = lineOf(stripped, i);
-            if (allowedAt(original, line, "stdio-side-channel", nullptr))
+            if (allowedAt(original, line, "stdio-side-channel"))
                 continue;
             out.push_back(
                 {path, line, "stdio-side-channel",
@@ -369,7 +363,7 @@ checkDeterminism(const std::string &path, const std::string &original,
         return;
     auto report = [&](size_t pos, const std::string &msg) {
         const int line = lineOf(stripped, pos);
-        if (allowedAt(original, line, "determinism", nullptr))
+        if (allowedAt(original, line, "determinism"))
             return;
         out.push_back({path, line, "determinism", msg});
     };
@@ -468,7 +462,7 @@ checkUncheckedIo(const std::string &path, const std::string &original,
             if (prev != ';' && prev != '{' && prev != '}')
                 continue;
             const int line = lineOf(stripped, i);
-            if (allowedAt(original, line, "unchecked-io", nullptr))
+            if (allowedAt(original, line, "unchecked-io"))
                 continue;
             out.push_back({path, line, "unchecked-io",
                            std::string(c.word) +
@@ -522,7 +516,7 @@ checkUncheckedIo(const std::string &path, const std::string &original,
         }
         if (synced)
             continue;
-        if (allowedAt(original, line, "unchecked-io", nullptr))
+        if (allowedAt(original, line, "unchecked-io"))
             continue;
         out.push_back({path, line, "unchecked-io",
                        "rename() without a nearby fsyncParentDir() in "
@@ -530,66 +524,6 @@ checkUncheckedIo(const std::string &path, const std::string &original,
                        "durable until the parent directory is fsynced "
                        "(publish via fsyncParentDir after the rename, or "
                        "annotate with nord-lint-allow(unchecked-io))"});
-    }
-}
-
-void
-checkClockedContract(const std::string &path, const std::string &original,
-                     const std::string &stripped, const Scope &scope,
-                     std::vector<LintFinding> &out)
-{
-    if (!scope.underSrc || !scope.header)
-        return;
-    for (size_t i = stripped.find("public Clocked");
-         i != std::string::npos;
-         i = stripped.find("public Clocked", i + 14)) {
-        if (!isWordAt(stripped, i + 7, "Clocked", 7))
-            continue;
-        // Identify `class <Name>` to the left of the base clause.
-        size_t cls = stripped.rfind("class", i);
-        if (cls == std::string::npos)
-            continue;
-        size_t n = cls + 5;
-        while (n < stripped.size() &&
-               std::isspace(static_cast<unsigned char>(stripped[n])))
-            ++n;
-        size_t ne = n;
-        while (ne < stripped.size() && isWordChar(stripped[ne]))
-            ++ne;
-        const std::string name = stripped.substr(n, ne - n);
-        const int line = lineOf(stripped, cls);
-
-        // Class body: first '{' after the base clause to its match.
-        size_t open = stripped.find('{', i);
-        if (open == std::string::npos)
-            continue;
-        int depth = 0;
-        size_t close = open;
-        for (; close < stripped.size(); ++close) {
-            if (stripped[close] == '{')
-                ++depth;
-            else if (stripped[close] == '}' && --depth == 0)
-                break;
-        }
-        const std::string body =
-            stripped.substr(open, close - open);
-
-        if (body.find("serializeState") == std::string::npos &&
-            !allowedAt(original, line, "clocked-serialize",
-                       "clocked-contract", 4)) {
-            out.push_back({path, line, "clocked-serialize",
-                           "Clocked subclass " + name +
-                               " has no serializeState: its state would "
-                               "silently vanish from checkpoints"});
-        }
-        if (body.find("declareOwnership") == std::string::npos &&
-            !allowedAt(original, line, "clocked-ownership",
-                       "clocked-contract", 4)) {
-            out.push_back({path, line, "clocked-ownership",
-                           "Clocked subclass " + name +
-                               " has no declareOwnership: it is invisible "
-                               "to the shard-safety access analysis"});
-        }
     }
 }
 
@@ -730,7 +664,6 @@ lintSource(const std::string &path, const std::string &content,
     checkStdio(path, content, stripped, scope, out);
     checkDeterminism(path, content, stripped, scope, out);
     checkUncheckedIo(path, content, stripped, scope, out);
-    checkClockedContract(path, content, stripped, scope, out);
     std::sort(out.begin(), out.end(),
               [](const LintFinding &a, const LintFinding &b) {
                   if (a.line != b.line)

@@ -29,10 +29,11 @@
  *  - unchecked-io: fwrite/fflush/fsync/rename called as a bare statement
  *    (result discarded) in the durability layers src/ckpt/ and
  *    src/campaign/ -- an ignored I/O result there is how a "durable"
- *    journal silently loses its tail on a full disk;
- *  - clocked-contract: every class deriving directly from Clocked in a
- *    src/ header must declare both serializeState (checkpointable) and
- *    declareOwnership (shard-safety contract).
+ *    journal silently loses its tail on a full disk.
+ *
+ * Whether each Clocked component serializes and declares ownership of
+ * its state is nord-statecheck's job (verify/statecheck/), not this
+ * pass's.
  *
  * A finding on line N is suppressed by `// nord-lint-allow(<check>)` on
  * line N or one of the two lines above it. The engine is std-only so the

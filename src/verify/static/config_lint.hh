@@ -6,22 +6,15 @@
  * validate() is a hard gate -- it NORD_FATALs the process on the first
  * inconsistency, which is the right behavior at simulator startup but
  * useless for a verification CLI that should enumerate *all* problems of a
- * proposed configuration and keep going. This pass re-checks everything
- * validate() enforces, plus the structural assumptions the runtime checks
- * (InvariantAuditor atomic VC allocation, the bypass ring contract) take
- * for granted, and returns them as a list of diagnoses:
- *
- *  - mesh shape constraints (positive dims, even rows so the canonical
- *    serpentine Hamiltonian ring exists);
- *  - ring structure: a proposed node order must be a Hamiltonian cycle
- *    over mesh links -- a permutation of all nodes, pairwise mesh-adjacent,
- *    closing back on its start (lintRingOrder(), usable on orders the
- *    BypassRing constructor would fatally reject);
- *  - VC partition: escape class non-empty, adaptive class non-empty,
- *    NoRD's two-escape-VC dateline requirement;
- *  - buffer/credit assumptions behind atomic allocation: positive buffer
- *    depth, positive escape-after-blocked and misroute-cap settings,
- *    sane wakeup window/threshold/guard values.
+ * proposed configuration and keep going. Both read the same rule list,
+ * NocConfig::problems() (mesh shape, VC partition and NoRD's dateline
+ * requirement, buffer/allocation assumptions, wakeup window, threshold
+ * and guard values, audit and fault settings), so a config this lint
+ * calls clean is one the simulator accepts. On top of that list the lint
+ * adds the structural check validate() deliberately skips because it
+ * costs a mesh and a ring: the canonical bypass ring must be a
+ * Hamiltonian cycle over mesh links (lintRingOrder(), usable on orders
+ * the BypassRing constructor would fatally reject).
  */
 
 #ifndef NORD_VERIFY_STATIC_CONFIG_LINT_HH
@@ -46,7 +39,8 @@ struct LintResult
     std::string summary() const;
 };
 
-/** Lint one configuration (never aborts, unlike validate()). */
+/** NocConfig::problems() plus the canonical-ring check (never aborts,
+ *  unlike validate()). */
 LintResult lintConfig(const NocConfig &config);
 
 /**

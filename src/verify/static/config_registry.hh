@@ -4,9 +4,9 @@
  *
  * Every configuration the examples and benches instantiate is derived from
  * NocConfig defaults plus a (design, mesh shape) choice; this registry
- * enumerates that matrix so nord-verify and scripts/verify_matrix.sh can
- * prove properties for *all* shipped operating points rather than whatever
- * subset a test happens to construct.
+ * enumerates that matrix so nord-verify (and the ctest entry
+ * nord_verify_all) can prove properties for *all* shipped operating points
+ * rather than whatever subset a test happens to construct.
  */
 
 #ifndef NORD_VERIFY_STATIC_CONFIG_REGISTRY_HH

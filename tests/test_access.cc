@@ -182,6 +182,24 @@ TEST(AccessTracker, DumpFormats)
     EXPECT_NE(json.find("\"flit_push\""), std::string::npos);
 }
 
+TEST(AccessTracker, JsonEscapesControlCharacters)
+{
+    // Names reach the JSON export verbatim: a tab or newline in one must
+    // come out escaped, or the export is not valid JSON.
+    class OddlyNamed : public Clocked
+    {
+      public:
+        void tick(Cycle) override {}
+        std::string name() const override { return "odd\tname\n"; }
+    };
+    OddlyNamed c;
+    AccessTracker t;
+    t.registerComponent(&c);
+    const std::string json = t.json();
+    EXPECT_NE(json.find("\"odd\\tname\\n\""), std::string::npos) << json;
+    EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+}
+
 TEST(AccessTracker, DisabledByDefault)
 {
     NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);

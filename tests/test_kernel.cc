@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "network/noc_system.hh"
 #include "sim/kernel.hh"
 #include "traffic/synthetic_traffic.hh"
+#include "verify/static/config_lint.hh"
+#include "verify/static/config_registry.hh"
 
 namespace nord {
 namespace {
@@ -325,24 +329,6 @@ TEST(SyntheticTraffic, PatternNames)
     EXPECT_STREQ(trafficPatternName(TrafficPattern::kHotspot), "hotspot");
 }
 
-TEST(NocConfigTest, ValidationCatchesBadSetups)
-{
-    NocConfig cfg;
-    cfg.numEscapeVcs = 4;  // == numVcs: no adaptive class left
-    EXPECT_EXIT({ cfg.validate(); }, ::testing::ExitedWithCode(1), "");
-
-    NocConfig odd;
-    odd.rows = 3;
-    EXPECT_EXIT({ odd.validate(); }, ::testing::ExitedWithCode(1), "");
-
-    NocConfig nordOneEscape;
-    nordOneEscape.design = PgDesign::kNord;
-    nordOneEscape.numVcs = 4;
-    nordOneEscape.numEscapeVcs = 1;
-    EXPECT_EXIT({ nordOneEscape.validate(); },
-                ::testing::ExitedWithCode(1), "");
-}
-
 TEST(NocConfigTest, OversizedPerfCentricCountFailsBeforeAnalysis)
 {
     // A 10x10 count of 500 must be rejected by validate() itself, before
@@ -359,6 +345,212 @@ TEST(NocConfigTest, OversizedPerfCentricCountFailsBeforeAnalysis)
 
     cfg.nordPerfCentricCount = 100;  // every router on: legal
     cfg.validate();
+}
+
+// One row per rule of NocConfig::problems(): a config that breaks it
+// (and, where the shape allows, nothing else), and a fragment of the
+// diagnosis. validate() must exit 1 on it and lintConfig() must report
+// it -- both read the one rule list, so neither can drift from the other.
+TEST(NocConfigTest, EveryRuleFailsValidateAndLint)
+{
+    const struct
+    {
+        const char *rule;
+        void (*apply)(NocConfig &);
+        const char *diagnosis;
+    } kRules[] = {
+        {"tiny mesh", [](NocConfig &c) { c.cols = 1; }, "at least 2x2"},
+        {"odd rows", [](NocConfig &c) { c.rows = 3; }, "even row count"},
+        {"one VC",
+         [](NocConfig &c) {
+             c.design = PgDesign::kConvPg;
+             c.numVcs = 1;
+             c.numEscapeVcs = 1;
+         },
+         "need at least 2 VCs"},
+        {"no escape VC",
+         [](NocConfig &c) {
+             c.design = PgDesign::kConvPg;
+             c.numEscapeVcs = 0;
+         },
+         "escape class is empty"},
+        {"no adaptive VC", [](NocConfig &c) { c.numEscapeVcs = 4; },
+         "adaptive class is empty"},
+        {"NoRD single escape VC", [](NocConfig &c) { c.numEscapeVcs = 1; },
+         "dateline"},
+        {"zero buffer", [](NocConfig &c) { c.bufferDepth = 0; },
+         "bufferDepth"},
+        {"never escape",
+         [](NocConfig &c) { c.escapeAfterBlockedCycles = 0; },
+         "escapeAfterBlockedCycles"},
+        {"negative misroute cap",
+         [](NocConfig &c) { c.nordMisrouteCap = -1; }, "nordMisrouteCap"},
+        {"instant wakeup", [](NocConfig &c) { c.wakeupLatency = 0; },
+         "wakeupLatency"},
+        {"empty wakeup window",
+         [](NocConfig &c) { c.nordWakeupWindow = 0; }, "nordWakeupWindow"},
+        {"zero threshold", [](NocConfig &c) { c.nordPerfThreshold = 0; },
+         "wakeup thresholds"},
+        {"inverted thresholds",
+         [](NocConfig &c) {
+             c.nordPerfThreshold = 3;
+             c.nordPowerThreshold = 2;
+         },
+         "thresholds inverted"},
+        {"negative power guard",
+         [](NocConfig &c) { c.nordPowerSleepGuard = -1; }, "sleep guards"},
+        {"negative perf guard",
+         [](NocConfig &c) { c.nordPerfSleepGuard = -1; }, "sleep guards"},
+        {"no starvation limit",
+         [](NocConfig &c) { c.niStarvationLimit = 0; },
+         "niStarvationLimit"},
+        {"too many perf-centric",
+         [](NocConfig &c) { c.nordPerfCentricCount = 17; },
+         "exceeds the 16 routers"},
+        {"zero stall threshold",
+         [](NocConfig &c) {
+             c.verify.interval = 1;
+             c.verify.stallThreshold = 0;
+         },
+         "verify.stallThreshold"},
+        {"zero flit age",
+         [](NocConfig &c) {
+             c.verify.interval = 1;
+             c.verify.maxFlitAge = 0;
+         },
+         "verify.maxFlitAge"},
+        {"rate above one",
+         [](NocConfig &c) {
+             c.fault.enabled = true;
+             c.fault.flitDropRate = 1.5;
+         },
+         "probabilities"},
+        {"scheduled fault off the mesh",
+         [](NocConfig &c) {
+             c.fault.enabled = true;
+             c.fault.schedule.push_back(
+                 {100, FaultClass::kDeadRouter, 16, 0});
+         },
+         "outside the 4x4 mesh"},
+        {"scheduled transient fault",
+         [](NocConfig &c) {
+             c.fault.enabled = true;
+             c.fault.schedule.push_back(
+                 {100, FaultClass::kFlitDrop, 5, 0});
+         },
+         "transient classes are rate-driven"},
+        {"zero retransmit timeout",
+         [](NocConfig &c) {
+             c.fault.e2e = true;
+             c.fault.retransTimeout = 0;
+         },
+         "fault.retransTimeout"},
+        {"zero backoff",
+         [](NocConfig &c) {
+             c.fault.e2e = true;
+             c.fault.retransBackoff = 0;
+         },
+         "fault.retransBackoff"},
+        {"negative retry limit",
+         [](NocConfig &c) {
+             c.fault.e2e = true;
+             c.fault.retryLimit = -1;
+         },
+         "fault.retryLimit"},
+    };
+    for (const auto &r : kRules) {
+        SCOPED_TRACE(r.rule);
+        NocConfig cfg;  // 4x4 NoRD, Table 1
+        r.apply(cfg);
+        ASSERT_FALSE(cfg.problems().empty());
+        EXPECT_NE(cfg.problems().front().find(r.diagnosis),
+                  std::string::npos)
+            << cfg.problems().front();
+        EXPECT_EXIT({ cfg.validate(); }, ::testing::ExitedWithCode(1),
+                    r.diagnosis);
+        const LintResult lint = lintConfig(cfg);
+        bool reported = false;
+        for (const std::string &p : lint.problems)
+            reported = reported || p.find(r.diagnosis) != std::string::npos;
+        EXPECT_TRUE(reported) << lint.summary();
+    }
+}
+
+// Every operating point the shipped matrix, the benches and the examples
+// build must pass the one rule list (and hence both validate() and the
+// lint): a new rule that rejects a shipped config is a regression.
+TEST(NocConfigTest, ShippedBenchAndExampleConfigsValidate)
+{
+    std::vector<std::pair<std::string, NocConfig>> configs;
+    for (const NamedConfig &named : shippedConfigs())
+        configs.emplace_back(named.name, named.config);
+    NocConfig base;
+    base.design = PgDesign::kNord;
+    for (int req = 1; req <= 5; ++req) {  // fig07_wakeup_threshold
+        NocConfig c = base;
+        c.nordPerfThreshold = req;
+        c.nordPowerThreshold = req;
+        c.nordPerfCentricCount = 0;
+        configs.emplace_back("fig07 req=" + std::to_string(req), c);
+    }
+    for (int d = 1; d < 4; ++d) {  // fig13_wakeup_latency
+        for (int wl : {9, 12, 15, 18}) {
+            NocConfig c;
+            c.design = static_cast<PgDesign>(d);
+            c.wakeupLatency = wl;
+            configs.emplace_back("fig13 wl=" + std::to_string(wl), c);
+        }
+    }
+    {  // ablation_nord
+        NocConfig c = base;
+        c.nordPerfCentricCount = 0;
+        configs.emplace_back("ablation no-perf", c);
+        c.nordPerfCentricCount = c.numNodes();
+        configs.emplace_back("ablation all-perf", c);
+        c = base;
+        c.nordPerfThreshold = 2;
+        c.nordPowerThreshold = 2;
+        c.nordPerfSleepGuard = 6;
+        c.nordPowerSleepGuard = 6;
+        configs.emplace_back("ablation uniform-thr", c);
+        c = base;
+        c.nordPerfCentricCount = 10;
+        configs.emplace_back("ablation perf-10", c);
+    }
+    {  // design_space
+        NocConfig c = base;
+        c.bufferDepth = 2;
+        configs.emplace_back("design_space shallow", c);
+        c.bufferDepth = 10;
+        configs.emplace_back("design_space deep", c);
+        c = base;
+        c.numVcs = 6;
+        c.numEscapeVcs = 2;
+        configs.emplace_back("design_space 6 VCs", c);
+        c = base;
+        c.wakeupLatency = 20;
+        configs.emplace_back("design_space slow wakeup", c);
+        c = base;
+        c.nordAggressiveBypass = true;
+        configs.emplace_back("design_space aggressive", c);
+    }
+    {  // resilience_sweep / nordbench / perf_campaign_point fault points
+        NocConfig c = base;
+        c.rows = 8;
+        c.cols = 8;
+        c.fault.enabled = true;
+        c.fault.e2e = true;
+        c.fault.flitCorruptRate = 1e-4;
+        c.fault.flitDropRate = 1e-4;
+        c.fault.creditLeakRate = 5e-5;
+        c.verify.interval = 256;
+        c.verify.policy = AuditPolicy::kRecover;
+        configs.emplace_back("fault campaign 8x8", c);
+    }
+    for (const auto &[name, cfg] : configs) {
+        for (const std::string &p : cfg.problems())
+            ADD_FAILURE() << name << ": " << p;
+    }
 }
 
 TEST(NocConfigTest, VcClassHelpers)

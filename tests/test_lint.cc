@@ -320,48 +320,6 @@ std::string timestamp = formatTime(cycle);
     EXPECT_TRUE(lint("src/stats/network_stats.cc", code).empty());
 }
 
-TEST(NordLint, ClockedContract)
-{
-    const char *broken = R"cc(
-class BrokenProbe : public Clocked
-{
-  public:
-    void tick(Cycle now) override;
-    std::string name() const override;
-};
-)cc";
-    const std::vector<LintFinding> fs =
-        lint("src/verify/probe.hh", broken);
-    EXPECT_EQ(countCheck(fs, "clocked-serialize"), 1);
-    EXPECT_EQ(countCheck(fs, "clocked-ownership"), 1);
-    // Only headers under src/ are in scope.
-    EXPECT_TRUE(lint("tests/helpers.hh", broken).empty());
-
-    const char *complete = R"cc(
-class GoodProbe : public Clocked
-{
-  public:
-    void tick(Cycle now) override;
-    std::string name() const override;
-    void serializeState(StateSerializer &s) override;
-    void declareOwnership(OwnershipDeclarator &d) const override;
-};
-)cc";
-    EXPECT_TRUE(lint("src/verify/probe.hh", complete).empty());
-
-    const char *annotated = R"cc(
-/** Ephemeral; no persistent state.
- *  nord-lint-allow(clocked-contract) */
-class StatelessProbe : public Clocked
-{
-  public:
-    void tick(Cycle now) override;
-    std::string name() const override;
-};
-)cc";
-    EXPECT_TRUE(lint("src/verify/probe.hh", annotated).empty());
-}
-
 TEST(NordLint, UncheckedIoFlaggedInDurabilityCode)
 {
     const char *bare = R"cc(

@@ -458,6 +458,8 @@ TEST(StateCheckFixtures, EachPlantedViolationFiresItsRule)
         {"missing-body", {kRuleMissingSerializeBody}},
         {"ownership-escape",
          {kRuleUndeclaredTickMutation, kRuleUndeclaredChannelUse}},
+        {"no-contract",
+         {kRuleUnserializedMember, kRuleUndeclaredTickMutation}},
     };
     for (const auto &tc : kCases) {
         const std::vector<CheckFinding> fs = checkFixture(tc.dir);

@@ -279,44 +279,6 @@ TEST(StaticLint, ShippedConfigsClean)
     }
 }
 
-TEST(StaticLint, FlagsEmptyEscapeClass)
-{
-    NocConfig cfg = makeShippedConfig(PgDesign::kConvPg, 4, 4);
-    cfg.numEscapeVcs = 0;
-    EXPECT_FALSE(lintConfig(cfg).ok());
-}
-
-TEST(StaticLint, FlagsSingleEscapeVcForNord)
-{
-    NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
-    cfg.numEscapeVcs = 1;
-    LintResult result = lintConfig(cfg);
-    ASSERT_FALSE(result.ok());
-    // The diagnosis must point at the dateline scheme, matching what the
-    // CDG pass demonstrates with escapeLevelOverride = 0.
-    bool mentionsDateline = false;
-    for (const std::string &p : result.problems)
-        mentionsDateline = mentionsDateline ||
-                           p.find("dateline") != std::string::npos;
-    EXPECT_TRUE(mentionsDateline) << result.summary();
-}
-
-TEST(StaticLint, FlagsOddRowsAndTinyMesh)
-{
-    NocConfig odd = makeShippedConfig(PgDesign::kNord, 3, 4);
-    EXPECT_FALSE(lintConfig(odd).ok());
-    NocConfig tiny = makeShippedConfig(PgDesign::kNord, 1, 1);
-    EXPECT_FALSE(lintConfig(tiny).ok());
-}
-
-TEST(StaticLint, FlagsInvertedThresholds)
-{
-    NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
-    cfg.nordPerfThreshold = 5;
-    cfg.nordPowerThreshold = 1;
-    EXPECT_FALSE(lintConfig(cfg).ok());
-}
-
 TEST(StaticLint, CanonicalRingsCleanAcrossShapes)
 {
     for (auto [rows, cols] : {std::pair{2, 2}, {2, 5}, {4, 3}, {4, 6},

@@ -99,12 +99,8 @@ usage()
         "                       (default 500)\n"
         "  --backoff-initial S  first retry delay (default 0.25)\n"
         "  --backoff-max S      retry delay cap (default 30)\n"
-        "  --shards N           shard count, first joiner only (default\n"
-        "                       0 = min(points, 8); later joiners adopt\n"
-        "                       the manifest's)\n"
         "  --lease-grace SEC    observed silence before a lease steal,\n"
         "                       first joiner only (default 2)\n"
-        "  --lease-renew SEC    heartbeat period (default 0 = grace/8)\n"
         "\n"
         "chaos self-test:\n"
         "  --chaos              kill random workers on a seeded schedule;\n"
@@ -128,10 +124,6 @@ usage()
         "  --hang-points LIST   point ids forced to stop heartbeating\n"
         "                       (hang-kill test)\n"
         "\n"
-        "  --drain-after-launches N\n"
-        "                       drain this executor after N worker\n"
-        "                       launches -- deterministic handover\n"
-        "                       testing (default off)\n"
         "  --list               print the expanded grid and exit\n"
         "  --help               this text\n"
         "\n"
@@ -288,14 +280,8 @@ main(int argc, char **argv)
             opts.outDir = needValue(i);
         } else if (a == "--executor-id") {
             opts.execId = needValue(i);
-        } else if (a == "--shards") {
-            opts.shards = u64Value(i);
         } else if (a == "--lease-grace") {
             opts.leaseGraceSec = doubleValue(i);
-        } else if (a == "--lease-renew") {
-            opts.leaseRenewSec = doubleValue(i);
-        } else if (a == "--drain-after-launches") {
-            opts.drainAfterLaunches = u64Value(i);
         } else if (a == "--designs") {
             grid.designs.clear();
             for (const std::string &name : splitList(needValue(i))) {
@@ -377,8 +363,7 @@ main(int argc, char **argv)
     }
 
     // Out-of-range values that parse: a zero worker count or hang
-    // timeout would silently wedge or quarantine the whole grid. (0 is
-    // the documented "auto" for --shards and --lease-renew.)
+    // timeout would silently wedge or quarantine the whole grid.
     const struct
     {
         const char *flag;
@@ -389,7 +374,6 @@ main(int argc, char **argv)
         {"--hang-timeout", opts.hangTimeoutSec > 0.0},
         {"--checkpoint-every", opts.worker.checkpointEvery > 0},
         {"--lease-grace", opts.leaseGraceSec > 0.0},
-        {"--lease-renew", opts.leaseRenewSec >= 0.0},
     };
     for (const auto &r : ranges) {
         if (!r.ok) {
